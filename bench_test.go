@@ -184,7 +184,7 @@ func BenchmarkAblationLoopBodyThreshold(b *testing.B) {
 		b.Fatal(err)
 	}
 	conc := prog.ProfileNonConcurrency(bm.ProfileWorld, bm.ProfileRuns, 10_000)
-	native := prog.RunNative(core.RunConfig{World: bm.EvalWorld(4), Seed: 1234, HeapWords: 1 << 19})
+	native := prog.RunNative(core.RunConfig{World: bm.EvalWorld(4), Seed: 1234})
 	if native.Err != nil {
 		b.Fatal(native.Err)
 	}
@@ -199,7 +199,7 @@ func BenchmarkAblationLoopBodyThreshold(b *testing.B) {
 				b.Fatal(err)
 			}
 			res, _ := ip.Record(core.RunConfig{
-				World: bm.EvalWorld(4), Seed: 1234, Table: ip.Table, HeapWords: 1 << 19})
+				World: bm.EvalWorld(4), Seed: 1234, Table: ip.Table})
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}
@@ -235,7 +235,7 @@ func BenchmarkAblationCliqueSharing(b *testing.B) {
 				b.Fatal(err)
 			}
 			res, _ := ip.Record(core.RunConfig{
-				World: bm.EvalWorld(4), Seed: 1234, Table: ip.Table, HeapWords: 1 << 19})
+				World: bm.EvalWorld(4), Seed: 1234, Table: ip.Table})
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}

@@ -68,7 +68,7 @@ type Config struct {
 	Workers    int    // evaluation worker count (default 4)
 	Seed       uint64 // record seed
 	ReplaySeed uint64
-	HeapWords  int64 // VM heap (smaller than default to keep memory modest)
+	HeapWords  int64 // VM heap words (0: the VM default)
 
 	// Parallel bounds the harness worker pool: benchmark preparation and
 	// independent benchmark × config measurement cells run on up to this
@@ -94,7 +94,7 @@ type Config struct {
 // Default returns the Table 2 configuration: 4 worker threads, sequential
 // harness.
 func Default() Config {
-	return Config{Workers: 4, Seed: 1234, ReplaySeed: 987654, HeapWords: 1 << 19, Parallel: 1}
+	return Config{Workers: 4, Seed: 1234, ReplaySeed: 987654, Parallel: 1}
 }
 
 // Prepared caches everything derivable from one benchmark independent of

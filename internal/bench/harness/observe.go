@@ -39,7 +39,6 @@ type ObserveOptions struct {
 
 	Seed       uint64 // record/check schedule seed (default Default().Seed)
 	ReplaySeed uint64 // replay schedule seed (default Default().ReplaySeed)
-	HeapWords  int64  // VM heap (default Default().HeapWords)
 
 	// Checker selects the dynamic race checker: "epoch" (default) or
 	// "vector".
@@ -113,9 +112,6 @@ func (o *ObserveOptions) fill() {
 	if o.ReplaySeed == 0 {
 		o.ReplaySeed = def.ReplaySeed
 	}
-	if o.HeapWords == 0 {
-		o.HeapWords = def.HeapWords
-	}
 	if o.Checker == "" {
 		o.Checker = "epoch"
 	}
@@ -185,7 +181,7 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 
 	sp = tr.Start("record")
 	var cw countWriter
-	rcRec := core.RunConfig{World: t.EvalWorld(o.Workers), Seed: o.Seed, Table: ip.Table, HeapWords: o.HeapWords}
+	rcRec := core.RunConfig{World: t.EvalWorld(o.Workers), Seed: o.Seed, Table: ip.Table}
 	recRes, log, lw := ip.RecordTo(rcRec, &cw)
 	if recRes.Err != nil {
 		return nil, fmt.Errorf("%s record: %w", t.Name, recRes.Err)
@@ -197,7 +193,7 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 
 	sp = tr.Start("replay")
 	repRes, repErr := ip.Replay(log, core.RunConfig{
-		World: t.EvalWorld(o.Workers), Seed: o.ReplaySeed, Table: ip.Table, HeapWords: o.HeapWords,
+		World: t.EvalWorld(o.Workers), Seed: o.ReplaySeed, Table: ip.Table,
 	})
 	matches := repErr == nil && repRes.Hash64() == recRes.Hash64()
 	match := int64(0)
@@ -228,7 +224,7 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	counter := &obs.EventCounter{}
 	chkStart := time.Now()
 	chkRes := core.CheckDynamicRacesWith(ip.Prog, ip.Table, core.RunConfig{
-		World: t.EvalWorld(o.Workers), Seed: o.Seed, HeapWords: o.HeapWords,
+		World: t.EvalWorld(o.Workers), Seed: o.Seed,
 		Sinks: []vm.EventSink{counter},
 	}, chk)
 	chkWall := time.Since(chkStart).Nanoseconds()

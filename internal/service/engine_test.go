@@ -284,9 +284,10 @@ func TestMultiTenantSummaryReuse(t *testing.T) {
 func TestEngineJobTimeout(t *testing.T) {
 	e := NewEngine(EngineConfig{Shards: 1, Depth: 4, SpoolDir: t.TempDir(), JobTimeout: 50 * time.Millisecond})
 	defer e.Drain(time.Minute)
-	// A gen-pipeline run takes well over 50ms; the job must fail at the
-	// deadline rather than wedge the shard.
-	v := submitAndAwait(t, e, &JobSpec{Kind: JobGenPipeline, Tenant: "t", Spec: "counters:7:small"})
+	// This gen-pipeline run takes about ten times the 50ms deadline
+	// (≈0.5s on a 2-core Xeon); the job must fail at the deadline rather
+	// than wedge the shard.
+	v := submitAndAwait(t, e, &JobSpec{Kind: JobGenPipeline, Tenant: "t", Spec: "cache:7:large"})
 	if v.State != StateFailed || !strings.Contains(v.Error, "timed out") {
 		t.Fatalf("state %s, error %q, want a timeout failure", v.State, v.Error)
 	}

@@ -103,7 +103,7 @@ type machine struct {
 	cfg  Config
 	cost CostModel
 
-	mem     []int64
+	mem     memory
 	memTop  int64
 	heapTop int64
 
@@ -170,7 +170,7 @@ func newMachine(p *Program, cfg Config) *machine {
 		prog:        p,
 		cfg:         cfg,
 		cost:        cfg.Cost,
-		mem:         make([]int64, memTop),
+		mem:         newMemory(memTop),
 		memTop:      memTop,
 		heapTop:     heapBase,
 		stackWords:  cfg.StackWords,
@@ -195,7 +195,7 @@ func newMachine(p *Program, cfg Config) *machine {
 		m.observing = true
 		m.events = make([]Event, 0, EventBatchSize)
 	}
-	copy(m.mem[GlobalBase:], p.GlobalWords)
+	m.mem.write(GlobalBase, p.GlobalWords)
 	return m
 }
 
@@ -222,10 +222,10 @@ func (m *machine) result() *Result {
 		h.Write(b[:])
 	}
 	for a := int64(GlobalBase); a < m.prog.HeapBase; a++ {
-		write(m.mem[a])
+		write(m.mem.load(a))
 	}
 	for a := m.prog.HeapBase; a < m.heapTop; a++ {
-		write(m.mem[a])
+		write(m.mem.load(a))
 	}
 	h.Write(m.output)
 	r.MemHash = h.Sum64()
@@ -277,7 +277,7 @@ func (m *machine) newThread(fnIdx int, args []int64, startClock int64) (*thread,
 	fp := t.sp
 	t.sp += fn.FrameWords
 	for i, a := range args {
-		m.mem[fp+int64(i)] = a
+		m.mem.store(fp+int64(i), a)
 	}
 	t.frames = append(t.frames, frame{fn: fn, fp: fp, wantValue: true})
 	m.threads = append(m.threads, t)
@@ -510,7 +510,7 @@ func (m *machine) step(t *thread) bool {
 			m.fail(t, "invalid load address %d (node %d in %s)", addr, in.Node, f.fn.Name)
 			return false
 		}
-		t.push(m.mem[addr])
+		t.push(m.mem.load(addr))
 		m.counters.MemOps++
 		if m.observing {
 			m.emitAccess(t.id, addr, false, in.Node, t.clock)
@@ -523,7 +523,7 @@ func (m *machine) step(t *thread) bool {
 			m.fail(t, "invalid store address %d (node %d in %s)", addr, in.Node, f.fn.Name)
 			return false
 		}
-		m.mem[addr] = v
+		m.mem.store(addr, v)
 		m.counters.MemOps++
 		if m.observing {
 			m.emitAccess(t.id, addr, true, in.Node, t.clock)
@@ -680,7 +680,7 @@ func (m *machine) doCall(t *thread, f *frame, fnIdx, nargs int, indirect bool) b
 	args := t.peekN(nargs)
 	fp := t.sp
 	for i, a := range args {
-		m.mem[fp+int64(i)] = a
+		m.mem.store(fp+int64(i), a)
 	}
 	t.popN(nargs)
 	if indirect {
@@ -759,7 +759,7 @@ func (m *machine) appendPrints(t *thread, addr int64) bool {
 			m.fail(t, "prints: invalid address %d", addr)
 			return false
 		}
-		w := m.mem[addr]
+		w := m.mem.load(addr)
 		if w == 0 {
 			return true
 		}

@@ -2,6 +2,8 @@ package vm
 
 import (
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/minic/parser"
@@ -49,10 +51,34 @@ func TestDisabledObservabilityAddsNoAllocs(t *testing.T) {
 	// Warm up both programs so lazy globals don't skew the first sample.
 	runOnce(short)
 	runOnce(long)
+	// A collection allocates runtime objects of its own. A run no longer
+	// allocates enough to trigger one every time, so with the collector
+	// on a cycle can land in one window and not the other.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	a := testing.AllocsPerRun(5, func() { runOnce(short) })
 	b := testing.AllocsPerRun(5, func() { runOnce(long) })
 	if a != b {
 		t.Errorf("doubling the hot loop changed allocations: %v → %v (disabled observability must be alloc-free per event)", a, b)
+	}
+}
+
+// Memory is backed by pages allocated on first write, so a run pays for
+// the pages it touches, not for the whole address space (64 MiB at the
+// defaults). One short run must stay far below that; an eager clear of
+// the address space would not.
+func TestShortRunAllocatesTouchedPagesOnly(t *testing.T) {
+	p := hotLoopProgram(t, 1_000)
+	cfg := Config{Inputs: LiveInputs{OS: oskit.NewWorld(1)}, Seed: 1}
+	Run(p, cfg) // warm up lazy globals
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r := Run(p, cfg)
+	runtime.ReadMemStats(&after)
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("one short run allocated %d bytes, want < 1 MiB", got)
 	}
 }
 
@@ -64,12 +90,15 @@ func BenchmarkEventHotLoopDisabled(b *testing.B) {
 	p := hotLoopProgram(b, 10_000)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var instrs int64
 	for i := 0; i < b.N; i++ {
 		r := Run(p, Config{Inputs: LiveInputs{OS: oskit.NewWorld(1)}, Seed: 1})
 		if r.Err != nil {
 			b.Fatal(r.Err)
 		}
+		instrs += r.Counters.Instrs
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
 }
 
 // BenchmarkEventHotLoopCounting is the observing counterpart: one

@@ -508,7 +508,7 @@ func (m *machine) doBuiltin(t *thread, f *frame, op types.BuiltinOp, nargs int, 
 			return false
 		}
 		sendData := make([]int64, n)
-		copy(sendData, m.mem[buf:buf+n])
+		m.mem.read(sendData, buf)
 		val, _, ready, pcost, err := m.cfg.Inputs.Input(t.id, op, args, sendData, t.clock)
 		if err != nil {
 			m.fail(t, "%s: %v", types.BuiltinName(op), err)
@@ -622,7 +622,7 @@ func (m *machine) doInput(t *thread, op types.BuiltinOp, nargs int, args []int64
 				m.fail(t, "%s: bad buffer %d (+%d)", types.BuiltinName(op), buf, len(data))
 				return false
 			}
-			copy(m.mem[buf:buf+int64(len(data))], data)
+			m.mem.write(buf, data)
 			m.counters.MemOps += int64(len(data))
 		}
 	}

@@ -33,9 +33,16 @@ func runSrc(t *testing.T, src string, seed uint64) *Result {
 
 func runErr(t *testing.T, src string, wantSub string) {
 	t.Helper()
+	runErrWith(t, src, Config{}, wantSub)
+}
+
+// runErrWith is runErr under cfg, with Inputs and Seed filled in.
+func runErrWith(t *testing.T, src string, cfg Config, wantSub string) {
+	t.Helper()
 	p := compileSrc(t, src)
-	w := oskit.NewWorld(1)
-	r := Run(p, Config{Inputs: LiveInputs{OS: w}, Seed: 1})
+	cfg.Inputs = LiveInputs{OS: oskit.NewWorld(1)}
+	cfg.Seed = 1
+	r := Run(p, cfg)
 	if r.Err == nil {
 		t.Fatalf("expected error containing %q, got none (output %q)", wantSub, r.Output)
 	}
@@ -478,6 +485,12 @@ int main(void) {
 func TestRuntimeErrors(t *testing.T) {
 	runErr(t, `int main(void) { int *p = 0; return *p; }`, "invalid load")
 	runErr(t, `int main(void) { int *p = 3; *p = 1; return 0; }`, "invalid store")
+	// memTop = HeapBase + HeapWords + MaxThreads*StackWords = 16 + 64 +
+	// 2*64 = 208 without globals (TestMemTopBoundary loads and stores at
+	// 207).
+	small := Config{HeapWords: 64, StackWords: 64, MaxThreads: 2}
+	runErrWith(t, `int main(void) { int *p = 208; return *p; }`, small, "invalid load address 208")
+	runErrWith(t, `int main(void) { int *p = 208; *p = 1; return 0; }`, small, "invalid store address 208")
 	runErr(t, `int main(void) { int a = 1; int b = 0; return a / b; }`, "division by zero")
 	runErr(t, `int m; int main(void) { unlock(&m); return 0; }`, "unlock of mutex")
 	runErr(t, `int m; int main(void) { lock(&m); lock(&m); return 0; }`, "recursive lock")
