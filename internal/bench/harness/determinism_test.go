@@ -33,11 +33,11 @@ func TestAnalysisDeterministicUnderParallelism(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
-			seq, err := core.LoadParallel(b.Name, b.FullSource(), 1)
+			seq, err := core.Load(b.Name, b.FullSource())
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := core.LoadParallel(b.Name, b.FullSource(), 8)
+			par, err := core.LoadWith(b.Name, b.FullSource(), core.LoadOptions{Workers: 8})
 			if err != nil {
 				t.Fatal(err)
 			}

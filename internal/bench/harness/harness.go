@@ -29,6 +29,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/obs"
 	"repro/internal/oskit"
+	"repro/internal/pool"
 	"repro/internal/profile"
 	"repro/internal/relay"
 	"repro/internal/trace"
@@ -202,59 +203,37 @@ func NewSuite(cfg Config, names ...string) (*Suite, error) {
 func NewSuiteOf(cfg Config, list []*bench.Benchmark) (*Suite, error) {
 	s := &Suite{
 		Cfg:      cfg,
-		Analyses: core.NewCache(),
+		Analyses: core.NewCache(nil),
 		measured: make(map[string]*Measurement),
 		natives:  make(map[string]*vm.Result),
 	}
 	items := make([]*Prepared, len(list))
-	errs := make([]error, len(list))
-	s.forEach(len(list), func(i int) {
-		items[i], errs[i] = s.prepare(list[i])
+	err := s.forEach(len(list), func(i int) (err error) {
+		items[i], err = s.prepare(list[i])
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	s.Items = items
 	return s, nil
 }
 
-// forEach runs fn(0..n-1) on a pool of cfg.Parallel goroutines (inline
-// when sequential).
-func (s *Suite) forEach(n int, fn func(i int)) {
-	workers := s.Cfg.Parallel
-	if workers > n {
-		workers = n
+// forEach runs fn(0..n-1) on cfg.Parallel workers (pool.RunWave; inline
+// when sequential) and returns the lowest-index error, so failures are
+// deterministic regardless of scheduling.
+func (s *Suite) forEach(n int, fn func(i int) error) error {
+	idx := make([]int, n)
+	for i := range idx {
+		idx[i] = i
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	return pool.RunWave(s.Cfg.Parallel, idx, fn)
 }
 
 // Prepare analyzes, profiles and instruments one benchmark under every
 // configuration, standalone (no shared caches, sequential analysis).
 func Prepare(b *bench.Benchmark) (*Prepared, error) {
-	return prepareWith(core.NewCache(), b, 1, false)
+	return prepareWith(core.NewCache(nil), b, 1, false)
 }
 
 func (s *Suite) prepare(b *bench.Benchmark) (*Prepared, error) {
@@ -266,7 +245,7 @@ func (s *Suite) prepare(b *bench.Benchmark) (*Prepared, error) {
 }
 
 func prepareWith(cache *core.Cache, b *bench.Benchmark, workers int, precision bool) (*Prepared, error) {
-	prog, err := cache.Load(b.Name, b.FullSource(), workers)
+	prog, err := cache.Load(b.Name, b.FullSource(), workers, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
@@ -532,14 +511,12 @@ type Cell struct {
 // deterministic regardless of scheduling.
 func (s *Suite) MeasureCells(cells []Cell) ([]*Measurement, error) {
 	ms := make([]*Measurement, len(cells))
-	errs := make([]error, len(cells))
-	s.forEach(len(cells), func(i int) {
-		ms[i], errs[i] = s.Measure(cells[i].P, cells[i].Config, cells[i].Workers)
+	err := s.forEach(len(cells), func(i int) (err error) {
+		ms[i], err = s.Measure(cells[i].P, cells[i].Config, cells[i].Workers)
+		return err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	if err != nil {
+		return nil, err
 	}
 	return ms, nil
 }

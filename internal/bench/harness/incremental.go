@@ -124,7 +124,7 @@ func measureIncrementalOne(b *bench.Benchmark, workers, reps int) (*IncrementalE
 		// Cold: fresh whole-program analysis of the edited source.
 		coldTr := obs.NewTracer()
 		coldStart := time.Now()
-		cold, err := core.LoadParallelTraced(b.Name, edited, workers, coldTr)
+		cold, err := core.LoadWith(b.Name, edited, core.LoadOptions{Workers: workers, Tracer: coldTr})
 		coldWall := time.Since(coldStart).Nanoseconds()
 		if err != nil {
 			return nil, nil, err
@@ -133,12 +133,12 @@ func measureIncrementalOne(b *bench.Benchmark, workers, reps int) (*IncrementalE
 		// Warm: prime a fresh store with the original program (untimed),
 		// then time the incremental re-analysis of the edited source.
 		store := summary.NewStore()
-		if _, err := core.LoadIncremental(b.Name, orig, workers, store); err != nil {
+		if _, err := core.LoadWith(b.Name, orig, core.LoadOptions{Workers: workers, Store: store}); err != nil {
 			return nil, nil, err
 		}
 		warmTr := obs.NewTracer()
 		warmStart := time.Now()
-		warm, err := core.LoadIncrementalTraced(b.Name, edited, workers, store, warmTr)
+		warm, err := core.LoadWith(b.Name, edited, core.LoadOptions{Workers: workers, Store: store, Tracer: warmTr})
 		warmWall := time.Since(warmStart).Nanoseconds()
 		if err != nil {
 			return nil, nil, err

@@ -116,7 +116,7 @@ func (o *ObserveOptions) fill() {
 		o.Checker = "epoch"
 	}
 	if o.Cache == nil {
-		o.Cache = core.NewCache()
+		o.Cache = core.NewCache(nil)
 	}
 }
 
@@ -138,7 +138,7 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	root.SetStr("program", t.Name).SetStr("config", o.Config)
 
 	sp := tr.Start("analyze")
-	prog, err := o.Cache.LoadTraced(t.Name, t.Source, o.Parallel, tr)
+	prog, err := o.Cache.Load(t.Name, t.Source, o.Parallel, tr)
 	if err != nil {
 		return nil, err
 	}

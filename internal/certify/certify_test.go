@@ -115,7 +115,7 @@ func TestCertificateDeterministic(t *testing.T) {
 	b := bench.ByName("water")
 	certs := make([][]byte, 2)
 	for i, workers := range []int{1, 8} {
-		prog, err := core.LoadParallel(b.Name, b.FullSource(), workers)
+		prog, err := core.LoadWith(b.Name, b.FullSource(), core.LoadOptions{Workers: workers})
 		if err != nil {
 			t.Fatalf("load (workers=%d): %v", workers, err)
 		}

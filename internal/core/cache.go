@@ -18,9 +18,8 @@ import (
 // instrumentation configs and harness workers; only the per-config
 // instrument → record → replay tail runs again.
 //
-// A cache built with NewIncrementalCache additionally carries a
-// per-function summary store (internal/summary), giving loads three
-// outcomes instead of two: a whole-program hit returns the shared
+// A cache built over a per-function summary store (internal/summary)
+// gives loads three outcomes instead of two: a whole-program hit returns the shared
 // artifact, a whole-program miss runs the incremental pipeline, and that
 // fresh computation counts as a *partial hit* when it reused at least one
 // stored function summary (and as a miss otherwise). The store persists
@@ -35,8 +34,7 @@ type Cache struct {
 	mu      sync.Mutex
 	entries map[[sha256.Size]byte]*cacheEntry
 
-	// store, when non-nil, routes miss-path loads through the incremental
-	// analyzer.
+	// store backs every miss-path load (LoadOptions.Store); nil for none.
 	store *summary.Store
 
 	hits     atomic.Int64
@@ -50,32 +48,20 @@ type cacheEntry struct {
 	err  error
 }
 
-// NewCache returns an empty analysis cache with no summary store: every
-// whole-program miss is a full recomputation.
-func NewCache() *Cache {
-	return &Cache{entries: make(map[[sha256.Size]byte]*cacheEntry)}
-}
-
-// NewIncrementalCache returns an analysis cache whose miss path runs the
-// summary-store-backed incremental pipeline (LoadIncremental). The store
-// may be shared with other caches and outlives any one cache.
-func NewIncrementalCache(store *summary.Store) *Cache {
-	c := NewCache()
-	c.store = store
-	return c
+// NewCache returns an empty analysis cache whose miss path loads with
+// store as the summary store (LoadOptions.Store). A nil store makes every
+// whole-program miss a full recomputation; a non-nil one may be shared
+// with other caches and outlives any one cache.
+func NewCache(store *summary.Store) *Cache {
+	return &Cache{entries: make(map[[sha256.Size]byte]*cacheEntry), store: store}
 }
 
 // Load returns the analyzed program for (name, src), computing it with
-// LoadParallel(workers) on first use and returning the shared artifact on
-// every subsequent call.
-func (c *Cache) Load(name, src string, workers int) (*Program, error) {
-	return c.LoadTraced(name, src, workers, nil)
-}
-
-// LoadTraced is Load with the miss-path analysis traced into tr (see
-// LoadParallelTraced). On a hit the cached artifact is returned and tr
-// records nothing — the stages never ran; the hit shows up in Stats.
-func (c *Cache) LoadTraced(name, src string, workers int, tr *obs.Tracer) (*Program, error) {
+// LoadWith on first use — the RELAY walk over `workers` goroutines, the
+// stages traced into tr — and returning the shared artifact on every
+// subsequent call. On a hit tr records nothing — the stages never ran;
+// the hit shows up in Stats.
+func (c *Cache) Load(name, src string, workers int, tr *obs.Tracer) (*Program, error) {
 	h := sha256.New()
 	h.Write([]byte(name))
 	h.Write([]byte{0})
@@ -94,11 +80,7 @@ func (c *Cache) LoadTraced(name, src string, workers int, tr *obs.Tracer) (*Prog
 	fresh := false
 	e.once.Do(func() {
 		fresh = true
-		if c.store != nil {
-			e.prog, e.err = LoadIncrementalTraced(name, src, workers, c.store, tr)
-		} else {
-			e.prog, e.err = LoadParallelTraced(name, src, workers, tr)
-		}
+		e.prog, e.err = LoadWith(name, src, LoadOptions{Workers: workers, Store: c.store, Tracer: tr})
 	})
 	switch {
 	case !fresh:

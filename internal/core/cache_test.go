@@ -20,7 +20,7 @@ int main(void) {
 // Concurrent loads of one program must share a single artifact
 // (single-flight), and distinct programs must not collide.
 func TestCacheSharesOneArtifact(t *testing.T) {
-	c := NewCache()
+	c := NewCache(nil)
 	const callers = 16
 	progs := make([]*Program, callers)
 	var wg sync.WaitGroup
@@ -29,7 +29,7 @@ func TestCacheSharesOneArtifact(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			p, err := c.Load("cached", cacheSrc, 2)
+			p, err := c.Load("cached", cacheSrc, 2, nil)
 			if err != nil {
 				t.Errorf("caller %d: %v", i, err)
 				return
@@ -49,7 +49,7 @@ func TestCacheSharesOneArtifact(t *testing.T) {
 			hits, partial, misses, callers-1)
 	}
 
-	other, err := c.Load("other", cacheSrc+"\n", 1)
+	other, err := c.Load("other", cacheSrc+"\n", 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,8 +61,8 @@ func TestCacheSharesOneArtifact(t *testing.T) {
 // The refined report is memoized per program and identical for every
 // caller.
 func TestRefinedRacesMemoized(t *testing.T) {
-	c := NewCache()
-	p, err := c.Load("cached", cacheSrc, 1)
+	c := NewCache(nil)
+	p, err := c.Load("cached", cacheSrc, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,10 +84,9 @@ func TestRefinedRacesMemoized(t *testing.T) {
 	}
 }
 
-// LoadForExecution must produce a runnable program without the analysis
-// stages.
-func TestLoadForExecution(t *testing.T) {
-	p, err := LoadForExecution("exec", cacheSrc)
+// reload must produce a runnable program without the analysis stages.
+func TestReload(t *testing.T) {
+	p, err := reload("exec", cacheSrc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

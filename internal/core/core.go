@@ -54,8 +54,8 @@ type Program struct {
 	// paid once per benchmark and amortized over every config.
 	AnalysisWallNS int64
 
-	// Incremental is set by LoadIncremental: what the summary-store-backed
-	// analysis reused and recomputed. Nil on whole-program loads.
+	// Incremental is set by loads with a summary store: what the
+	// store-backed analysis reused and recomputed. Nil on storeless loads.
 	Incremental *relay.IncrementalStats
 
 	// store, when non-nil, is the summary store that backed the load; the
@@ -72,25 +72,80 @@ type Program struct {
 	precBase     *relay.Report
 }
 
+// LoadOptions parameterizes LoadWith. The zero value is Load's: the
+// sequential RELAY summary walk, no summary store, no tracing.
+type LoadOptions struct {
+	// Workers bounds the goroutines of the RELAY summary walk
+	// (relay.AnalyzeParallel); <= 1 walks sequentially. The Program is
+	// byte-identical for every value.
+	Workers int
+
+	// Store, when non-nil, backs the RELAY walk with a content-addressed
+	// summary store (relay.AnalyzeIncremental): function summaries whose
+	// keys hit the store are reused, only the dirty SCC cone is
+	// recomputed, and the recomputed summaries are stored for the next
+	// load. The Program's refinements then memoize their verdicts there
+	// too. The Program (race report, MHP prunes, instrumented source) is
+	// byte-identical to a storeless load for any store contents — the
+	// store can only make it faster, never different.
+	Store *summary.Store
+
+	// Tracer, when non-nil, receives one span per stage. Stage attributes
+	// carry the headline artifact sizes: SCC/wave counts on the call
+	// graph, pair counts on RELAY, and with a Store the reuse counts
+	// (reused/recomputed functions, dirty SCCs), which are a pure function
+	// of (source, store state) and independent of the worker count.
+	Tracer *obs.Tracer
+}
+
 // Load parses, checks, analyzes and compiles a program with the
 // sequential RELAY summary walk.
 func Load(name, src string) (*Program, error) {
-	return LoadParallel(name, src, 1)
+	return LoadWith(name, src, LoadOptions{})
 }
 
-// LoadParallel is Load with the RELAY summary computation wave-scheduled
-// over `workers` goroutines (relay.AnalyzeParallel). The resulting
-// analysis is byte-identical to the sequential one for any worker count.
-func LoadParallel(name, src string, workers int) (*Program, error) {
-	return LoadParallelTraced(name, src, workers, nil)
-}
-
-// LoadParallelTraced is LoadParallel with each analysis stage wrapped in a
-// span of tr (nil disables tracing at zero cost). Stage attributes carry
-// the headline artifact sizes: SCC/wave counts on the call graph, pair
-// counts on RELAY.
-func LoadParallelTraced(name, src string, workers int, tr *obs.Tracer) (*Program, error) {
+// LoadWith is Load under explicit options.
+func LoadWith(name, src string, o LoadOptions) (*Program, error) {
 	start := time.Now()
+	tr := o.Tracer
+	p, err := reload(name, src, tr)
+	if err != nil {
+		return nil, err
+	}
+	sp := tr.Start("points-to")
+	p.PTA = pointsto.Analyze(p.Info)
+	sp.End()
+	sp = tr.Start("callgraph")
+	p.CG = callgraph.Build(p.Info, p.PTA)
+	sp.SetAttr("sccs", int64(len(p.CG.SCCs))).
+		SetAttr("waves", int64(len(p.CG.Waves()))).End()
+	sp = tr.Start("relay")
+	if o.Store != nil {
+		p.Races, p.Incremental = relay.AnalyzeIncremental(p.Info, p.PTA, p.CG, o.Workers, o.Store)
+		p.store = o.Store
+	} else {
+		p.Races = relay.AnalyzeParallel(p.Info, p.PTA, p.CG, o.Workers)
+	}
+	// No workers attribute here: analysis parallelism is an execution
+	// detail, and the stage attributes must be a pure function of the
+	// source so masked metrics reports compare byte-identically.
+	sp.SetAttr("pairs", int64(len(p.Races.Pairs))).
+		SetAttr("racy_funcs", int64(len(p.Races.RacyFuncs))).
+		SetAttr("racy_nodes", int64(len(p.Races.RacyNodes)))
+	if st := p.Incremental; st != nil {
+		sp.SetAttr("reused_funcs", int64(st.ReusedFuncs)).
+			SetAttr("recomputed_funcs", int64(st.RecomputedFuncs)).
+			SetAttr("dirty_sccs", int64(st.DirtySCCs))
+	}
+	sp.End()
+	p.AnalysisWallNS = time.Since(start).Nanoseconds()
+	return p, nil
+}
+
+// reload parses, checks and compiles a program: the prefix of LoadWith,
+// and all an instrumented program gets, since it is only ever executed,
+// never re-analyzed (PTA, CG and Races stay nil).
+func reload(name, src string, tr *obs.Tracer) (*Program, error) {
 	sp := tr.Start("lex-parse")
 	file, err := parser.Parse(name, src)
 	sp.SetAttr("bytes", int64(len(src))).End()
@@ -110,56 +165,7 @@ func LoadParallelTraced(name, src string, workers int, tr *obs.Tracer) (*Program
 		return nil, fmt.Errorf("compile %s: %w", name, err)
 	}
 	sp.SetAttr("funcs", int64(len(code.Funcs))).End()
-	sp = tr.Start("points-to")
-	pta := pointsto.Analyze(info)
-	sp.End()
-	sp = tr.Start("callgraph")
-	cg := callgraph.Build(info, pta)
-	sp.SetAttr("sccs", int64(len(cg.SCCs))).
-		SetAttr("waves", int64(len(cg.Waves()))).End()
-	sp = tr.Start("relay")
-	races := relay.AnalyzeParallel(info, pta, cg, workers)
-	// No workers attribute here: analysis parallelism is an execution
-	// detail, and the stage attributes must be a pure function of the
-	// source so masked metrics reports compare byte-identically.
-	sp.SetAttr("pairs", int64(len(races.Pairs))).
-		SetAttr("racy_funcs", int64(len(races.RacyFuncs))).
-		SetAttr("racy_nodes", int64(len(races.RacyNodes))).End()
-	return &Program{
-		Name: name, Source: src, File: file, Info: info,
-		PTA: pta, CG: cg, Races: races, Code: code,
-		AnalysisWallNS: time.Since(start).Nanoseconds(),
-	}, nil
-}
-
-// LoadForExecution parses, checks and compiles a program without running
-// the static-analysis stages (points-to, callgraph, RELAY): PTA, CG and
-// Races stay nil. Instrumented programs are reloaded this way — they are
-// only ever executed, never re-analyzed, and skipping the analysis
-// removes a full redundant RELAY run per instrumentation config.
-func LoadForExecution(name, src string) (*Program, error) {
-	file, err := parser.Parse(name, src)
-	if err != nil {
-		return nil, fmt.Errorf("parse %s: %w", name, err)
-	}
-	info, err := types.Check(file)
-	if err != nil {
-		return nil, fmt.Errorf("check %s: %w", name, err)
-	}
-	code, err := vm.Compile(info)
-	if err != nil {
-		return nil, fmt.Errorf("compile %s: %w", name, err)
-	}
 	return &Program{Name: name, Source: src, File: file, Info: info, Code: code}, nil
-}
-
-// MustLoad loads or panics; for tests and embedded benchmarks.
-func MustLoad(name, src string) *Program {
-	p, err := Load(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // RunConfig parameterizes one execution of a program.
@@ -366,7 +372,7 @@ func (p *Program) InstrumentWith(rep *relay.Report, conc *profile.Concurrency, o
 	if err != nil {
 		return nil, fmt.Errorf("instrument %s: %w", p.Name, err)
 	}
-	ip, err := LoadForExecution(p.Name+".chimera", res.Source)
+	ip, err := reload(p.Name+".chimera", res.Source, nil)
 	if err != nil {
 		return nil, fmt.Errorf("reload instrumented %s: %w\n--- source ---\n%s", p.Name, err, res.Source)
 	}

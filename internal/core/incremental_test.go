@@ -193,17 +193,17 @@ func TestIncrementalEditSequences(t *testing.T) {
 				}
 
 				store := summary.NewStore()
-				origInc, err := LoadIncremental(name, origSrc, 4, store)
+				origInc, err := LoadWith(name, origSrc, LoadOptions{Workers: 4, Store: store})
 				if err != nil {
 					t.Fatalf("prime: %v", err)
 				}
 				origInc.RefinedRaces() // prime the MHP facts too
 
-				editInc, err := LoadIncremental(name, editSrc, 4, store)
+				editInc, err := LoadWith(name, editSrc, LoadOptions{Workers: 4, Store: store})
 				if err != nil {
 					t.Fatalf("incremental: %v", err)
 				}
-				editFresh, err := LoadParallel(name, editSrc, 1)
+				editFresh, err := Load(name, editSrc)
 				if err != nil {
 					t.Fatalf("fresh: %v", err)
 				}
@@ -234,7 +234,7 @@ func TestIncrementalEditSequences(t *testing.T) {
 
 				// Revert: the original program's summaries and MHP facts are
 				// still stored, so re-analyzing it must recompute nothing.
-				revert, err := LoadIncremental(name, origSrc, 4, store)
+				revert, err := LoadWith(name, origSrc, LoadOptions{Workers: 4, Store: store})
 				if err != nil {
 					t.Fatalf("revert: %v", err)
 				}
@@ -267,7 +267,7 @@ func TestIncrementalEquivalence(t *testing.T) {
 			origSrc := b.FullSource()
 			editSrc := leaf.apply(t, b)
 
-			fresh, err := LoadParallel(b.Name, editSrc, 1)
+			fresh, err := Load(b.Name, editSrc)
 			if err != nil {
 				t.Fatalf("fresh: %v", err)
 			}
@@ -275,10 +275,10 @@ func TestIncrementalEquivalence(t *testing.T) {
 
 			for _, workers := range []int{1, 8} {
 				store := summary.NewStore()
-				if _, err := LoadIncremental(b.Name, origSrc, workers, store); err != nil {
+				if _, err := LoadWith(b.Name, origSrc, LoadOptions{Workers: workers, Store: store}); err != nil {
 					t.Fatalf("prime: %v", err)
 				}
-				inc, err := LoadIncremental(b.Name, editSrc, workers, store)
+				inc, err := LoadWith(b.Name, editSrc, LoadOptions{Workers: workers, Store: store})
 				if err != nil {
 					t.Fatalf("incremental: %v", err)
 				}
@@ -308,9 +308,9 @@ func TestIncrementalCacheOutcomes(t *testing.T) {
 	edit := scenarios[0].apply(t, b)
 
 	store := summary.NewStore()
-	c := NewIncrementalCache(store)
+	c := NewCache(store)
 
-	if _, err := c.Load("pfscan", orig, 2); err != nil {
+	if _, err := c.Load("pfscan", orig, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	hits, partial, misses := c.Stats()
@@ -318,7 +318,7 @@ func TestIncrementalCacheOutcomes(t *testing.T) {
 		t.Fatalf("cold load: stats = %d/%d/%d, want 0/0/1", hits, partial, misses)
 	}
 
-	if _, err := c.Load("pfscan", edit, 2); err != nil {
+	if _, err := c.Load("pfscan", edit, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	hits, partial, misses = c.Stats()
@@ -326,7 +326,7 @@ func TestIncrementalCacheOutcomes(t *testing.T) {
 		t.Fatalf("edited load: stats = %d/%d/%d, want 0/1/1", hits, partial, misses)
 	}
 
-	if _, err := c.Load("pfscan", edit, 2); err != nil {
+	if _, err := c.Load("pfscan", edit, 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	hits, partial, misses = c.Stats()
@@ -338,7 +338,7 @@ func TestIncrementalCacheOutcomes(t *testing.T) {
 	if ss == nil || ss.Puts == 0 || ss.Hits == 0 || ss.Entries == 0 {
 		t.Fatalf("summary stats missing activity: %+v", ss)
 	}
-	if NewCache().SummaryStats() != nil {
+	if NewCache(nil).SummaryStats() != nil {
 		t.Fatal("store-less cache reported summary stats")
 	}
 }

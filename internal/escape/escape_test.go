@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/callgraph"
 	"repro/internal/minic/parser"
 	"repro/internal/minic/types"
+	"repro/internal/pointsto"
 	"repro/internal/relay"
 )
 
@@ -26,7 +28,8 @@ func analyzeFixture(t *testing.T, name string) *relay.Report {
 	if err != nil {
 		t.Fatalf("typecheck %s: %v", name, err)
 	}
-	return relay.AnalyzeProgram(info)
+	pta := pointsto.Analyze(info)
+	return relay.AnalyzeParallel(info, pta, callgraph.Build(info, pta), 1)
 }
 
 // The precision layer's behavior on each fixture is pinned exactly: the

@@ -3,10 +3,7 @@ package instrument
 import (
 	"testing"
 
-	"repro/internal/minic/parser"
-	"repro/internal/minic/types"
 	"repro/internal/profile"
-	"repro/internal/relay"
 )
 
 // fig3Src encodes the paper's Figure 3 situation: alice races with bob and
@@ -68,9 +65,7 @@ func fig3Conc() *profile.Concurrency {
 }
 
 func TestCliqueSharingVsPerPair(t *testing.T) {
-	f := parser.MustParse("fig3.mc", fig3Src)
-	info := types.MustCheck(f)
-	rep := relay.AnalyzeProgram(info)
+	rep := report(t, fig3Src)
 	if len(rep.Pairs) == 0 {
 		t.Fatal("no race pairs")
 	}

@@ -4,9 +4,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/callgraph"
 	"repro/internal/minic/parser"
 	"repro/internal/minic/types"
 	"repro/internal/oskit"
+	"repro/internal/pointsto"
 	"repro/internal/relay"
 	"repro/internal/vm"
 	"repro/internal/weaklock"
@@ -16,7 +18,8 @@ func report(t *testing.T, src string) *relay.Report {
 	t.Helper()
 	f := parser.MustParse("t.mc", src)
 	info := types.MustCheck(f)
-	return relay.AnalyzeProgram(info)
+	pta := pointsto.Analyze(info)
+	return relay.AnalyzeParallel(info, pta, callgraph.Build(info, pta), 1)
 }
 
 // reparse checks the emitted source is valid MiniC.

@@ -3,8 +3,10 @@ package mhp
 import (
 	"testing"
 
+	"repro/internal/callgraph"
 	"repro/internal/minic/parser"
 	"repro/internal/minic/types"
+	"repro/internal/pointsto"
 	"repro/internal/relay"
 )
 
@@ -12,7 +14,8 @@ func analyze(t *testing.T, src string) *relay.Report {
 	t.Helper()
 	f := parser.MustParse("t.mc", src)
 	info := types.MustCheck(f)
-	return relay.AnalyzeProgram(info)
+	pta := pointsto.Analyze(info)
+	return relay.AnalyzeParallel(info, pta, callgraph.Build(info, pta), 1)
 }
 
 func hasFnPair(r *relay.Report, a, b string) bool {

@@ -3,9 +3,11 @@
 //
 //   - RunWave: a bounded fan-out over one wave of indexed tasks with a
 //     full barrier at the end and deterministic least-index error
-//     selection. This is the SCC-wave schedule RELAY's parallel summary
-//     computation uses (relay.AnalyzeParallel), extracted so any stage
-//     with wave-structured dependencies can reuse it.
+//     selection. This is the SCC-wave schedule of RELAY's summary walk
+//     (relay.AnalyzeParallel, relay.AnalyzeIncremental), extracted so
+//     any stage with wave-structured dependencies can reuse it; the
+//     benchmark harness fans its independent cells out on it as one
+//     wave.
 //
 //   - Sharded: a long-running pool of single-threaded shards with
 //     hash-routed FIFO queues and graceful drain. Work routed by a

@@ -1,8 +1,8 @@
 package relay
 
 import (
+	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/callgraph"
 	"repro/internal/minic/ast"
@@ -73,12 +73,7 @@ func (s *IncrementalStats) ProgramKey() summary.Key { return s.Index.ProgramKey(
 // program for any store contents and any worker count.
 func AnalyzeIncremental(info *types.Info, pta *pointsto.Analysis, cg *callgraph.Graph, workers int, store *summary.Store) (*Report, *IncrementalStats) {
 	idx := summary.NewIndexerParallel(info, pta, cg, workers)
-	rl := &analyzer{
-		info:      info,
-		pta:       pta,
-		cg:        cg,
-		summaries: make(map[*types.FuncInfo]*Summary),
-	}
+	rl := newAnalyzer(info, pta, cg)
 	stats := &IncrementalStats{Index: idx}
 
 	// Reuse pass, bottom-up: an SCC is clean iff every member is keyable,
@@ -118,53 +113,16 @@ func AnalyzeIncremental(info *types.Info, pta *pointsto.Analysis, cg *callgraph.
 		dirty[i] = true
 		stats.DirtySCCs++
 		for _, fn := range scc {
-			rl.summaries[fn] = &Summary{Fn: fn, accessKeys: make(map[string]bool)}
 			stats.Dirty = append(stats.Dirty, fn.Name)
 		}
 	}
 	stats.RecomputedFuncs = len(stats.Dirty)
 
-	// Fixpoint over the dirty cone only, wave-scheduled like the parallel
-	// walk (reused summaries are already installed, so dirty callers
-	// compose them exactly as a fresh walk would).
-	if workers <= 1 {
-		for i := range cg.SCCs {
-			if dirty[i] {
-				rl.analyzeSCC(i)
-			}
-		}
-	} else {
-		for _, wave := range cg.Waves() {
-			var todo []int
-			for _, si := range wave {
-				if dirty[si] {
-					todo = append(todo, si)
-				}
-			}
-			if len(todo) == 0 {
-				continue
-			}
-			n := workers
-			if n > len(todo) {
-				n = len(todo)
-			}
-			jobs := make(chan int)
-			var wg sync.WaitGroup
-			for w := 0; w < n; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for si := range jobs {
-						rl.analyzeSCC(si)
-					}
-				}()
-			}
-			for _, si := range todo {
-				jobs <- si
-			}
-			close(jobs)
-			wg.Wait()
-		}
+	// Fixpoint over the dirty cone only (reused summaries are already
+	// installed, so dirty callers compose them exactly as a fresh walk
+	// would).
+	if err := rl.walk(dirty, workers); err != nil {
+		panic(fmt.Sprintf("relay: summary walk failed: %v", err)) // test-only fault hook
 	}
 
 	// Store the recomputed summaries. Unkeyable or unencodable functions

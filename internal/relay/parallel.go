@@ -9,7 +9,7 @@ import (
 	"repro/internal/pool"
 )
 
-// Parallel summary computation.
+// The summary walk.
 //
 // RELAY's bottom-up composition is embarrassingly parallel across the
 // callgraph SCC condensation: a summary depends only on the summaries of
@@ -30,56 +30,80 @@ import (
 // distributed over at most `workers` goroutines. workers <= 1 selects the
 // sequential post-order walk; any value yields an identical Report.
 func AnalyzeParallel(info *types.Info, pta *pointsto.Analysis, cg *callgraph.Graph, workers int) *Report {
-	rl := &analyzer{
+	rl := newAnalyzer(info, pta, cg)
+	if err := rl.walk(nil, workers); err != nil {
+		// No production error sources exist (errors come only from the
+		// test-only fault hook), so this is unreachable outside tests.
+		panic(fmt.Sprintf("relay: summary walk failed: %v", err))
+	}
+	return rl.detectRaces()
+}
+
+func newAnalyzer(info *types.Info, pta *pointsto.Analysis, cg *callgraph.Graph) *analyzer {
+	return &analyzer{
 		info:      info,
 		pta:       pta,
 		cg:        cg,
 		summaries: make(map[*types.FuncInfo]*Summary),
 	}
-	if workers <= 1 {
-		rl.computeSummaries()
-	} else if err := rl.computeSummariesParallel(workers); err != nil {
-		// No production error sources exist (errors come only from the
-		// test-only fault hook), so this is unreachable outside tests.
-		panic(fmt.Sprintf("relay: parallel summary computation failed: %v", err))
-	}
-	return rl.detectRaces()
 }
 
-// computeSummariesParallel is the wave-scheduled counterpart of
-// computeSummaries, scheduled on the shared wave pool (internal/pool).
-// Each wave ends with a full barrier (pool.RunWave returns only when the
-// wave is complete, publishing its summaries); an error cancels all
-// outstanding work with a higher SCC index while lower-index SCCs of the
-// same wave still run, so the surfaced error is deterministic: the
-// least-index fault of the first faulty wave — exactly the error the
-// sequential walk would hit first.
-func (rl *analyzer) computeSummariesParallel(workers int) error {
-	// Pre-create every summary sequentially so the map is never written
+// walk computes the summaries of the SCCs marked in dirty (nil marks
+// every SCC), bottom-up; the summaries of unmarked SCCs must already be
+// installed. workers <= 1 is the sequential post-order walk, the
+// reference the parallel-equivalence tests compare against. Otherwise
+// each condensation wave's marked SCCs run on the shared wave pool
+// (internal/pool): pool.RunWave returns only when the wave is complete,
+// publishing its summaries, and an error cancels all outstanding work
+// with a higher SCC index while lower-index SCCs of the same wave still
+// run, so the surfaced error is deterministic: the least-index fault of
+// the first faulty wave — exactly the error the sequential walk would hit
+// first.
+func (rl *analyzer) walk(dirty []bool, workers int) error {
+	marked := func(i int) bool { return dirty == nil || dirty[i] }
+	// Create every marked summary up front so the map is never written
 	// during the concurrent phase: workers mutate only the Summary structs
 	// of their own SCC and read completed callee summaries.
-	for _, scc := range rl.cg.SCCs {
-		for _, fn := range scc {
-			rl.summaries[fn] = &Summary{Fn: fn, accessKeys: make(map[string]bool)}
+	for i, scc := range rl.cg.SCCs {
+		if marked(i) {
+			for _, fn := range scc {
+				rl.summaries[fn] = &Summary{Fn: fn, accessKeys: make(map[string]bool)}
+			}
 		}
 	}
+	analyze := func(i int) error {
+		if err := rl.analyzeSCC(i); err != nil {
+			return fmt.Errorf("scc %d: %w", i, err)
+		}
+		return nil
+	}
 
-	for _, wave := range rl.cg.Waves() {
-		err := pool.RunWave(workers, wave, func(scc int) error {
-			if err := rl.analyzeSCC(scc); err != nil {
-				return fmt.Errorf("scc %d: %w", scc, err)
+	if workers <= 1 {
+		for i := range rl.cg.SCCs {
+			if marked(i) {
+				if err := analyze(i); err != nil {
+					return err
+				}
 			}
-			return nil
-		})
-		if err != nil {
+		}
+		return nil
+	}
+	for _, wave := range rl.cg.Waves() {
+		var todo []int
+		for _, i := range wave {
+			if marked(i) {
+				todo = append(todo, i)
+			}
+		}
+		if err := pool.RunWave(workers, todo, analyze); err != nil {
 			return err // a wave failed: later waves never start
 		}
 	}
 	return nil
 }
 
-// analyzeSCC iterates one SCC's summaries to a fixpoint (the sequential
-// inner loop of computeSummaries).
+// analyzeSCC iterates one SCC's summaries to a fixpoint (single-function
+// SCCs converge in one pass unless self-recursive).
 func (rl *analyzer) analyzeSCC(i int) error {
 	if rl.sccFault != nil {
 		if err := rl.sccFault(i); err != nil {

@@ -129,17 +129,17 @@ func TestMidWaveErrorCancellation(t *testing.T) {
 	cg := callgraph.Build(info, pta)
 
 	waves := cg.Waves()
-	// Pick the first wave with at least two SCCs and fault both; the
-	// lower-index fault must win deterministically.
+	// Pick the first wave above the leaves with at least two SCCs and
+	// fault both; the lower-index fault must win deterministically.
 	faultWave := -1
 	for wi, wave := range waves {
-		if len(wave) >= 2 {
+		if wi > 0 && len(wave) >= 2 {
 			faultWave = wi
 			break
 		}
 	}
 	if faultWave < 0 {
-		t.Fatalf("test program has no multi-SCC wave; waves: %v", waves)
+		t.Fatalf("test program has no multi-SCC wave above the leaves; waves: %v", waves)
 	}
 	lo, hi := waves[faultWave][0], waves[faultWave][1]
 	waveOf := make(map[int]int)
@@ -151,13 +151,11 @@ func TestMidWaveErrorCancellation(t *testing.T) {
 
 	errLo := errors.New("fault-lo")
 	errHi := errors.New("fault-hi")
-	for round := 0; round < 20; round++ {
-		rl := &analyzer{
-			info:      info,
-			pta:       pta,
-			cg:        cg,
-			summaries: make(map[*types.FuncInfo]*Summary),
-		}
+	// run walks the SCCs marked in dirty with the fault hook installed and
+	// returns the SCCs the hook saw, how many of them lay in waves after
+	// the faulty one, and the walk's error.
+	run := func(dirty []bool, workers int) (*sync.Map, int64, error) {
+		rl := newAnalyzer(info, pta, cg)
 		var ran sync.Map
 		var laterWaveRuns atomic.Int64
 		rl.sccFault = func(scc int) error {
@@ -173,19 +171,52 @@ func TestMidWaveErrorCancellation(t *testing.T) {
 			}
 			return nil
 		}
-		err := rl.computeSummariesParallel(4)
+		err := rl.walk(dirty, workers)
+		return &ran, laterWaveRuns.Load(), err
+	}
+	wantMsg := fmt.Sprintf("scc %d: %s", lo, errLo)
+
+	for round := 0; round < 20; round++ {
+		ran, laterWaveRuns, err := run(nil, 4)
 		if !errors.Is(err, errLo) {
 			t.Fatalf("round %d: got error %v, want the least-index fault %v", round, err, errLo)
 		}
-		wantMsg := fmt.Sprintf("scc %d: %s", lo, errLo)
 		if err.Error() != wantMsg {
 			t.Fatalf("round %d: error text %q, want %q", round, err.Error(), wantMsg)
 		}
-		if n := laterWaveRuns.Load(); n != 0 {
-			t.Fatalf("round %d: %d SCCs from waves after the faulty one ran; cancellation failed", round, n)
+		if laterWaveRuns != 0 {
+			t.Fatalf("round %d: %d SCCs from waves after the faulty one ran; cancellation failed", round, laterWaveRuns)
 		}
 		if _, ok := ran.Load(lo); !ok {
 			t.Fatalf("round %d: least-index faulty SCC never ran", round)
+		}
+	}
+
+	// With a dirty mask — the incremental shape: every SCC below the
+	// faulty wave reused, the rest recomputed — neither schedule may walk
+	// a clean SCC, and both must surface the least-index dirty fault.
+	dirty := make([]bool, len(cg.SCCs))
+	var clean []int
+	for scc := range dirty {
+		dirty[scc] = waveOf[scc] >= faultWave
+		if !dirty[scc] {
+			clean = append(clean, scc)
+		}
+	}
+	for _, workers := range []int{1, 4} {
+		for round := 0; round < 20; round++ {
+			ran, laterWaveRuns, err := run(dirty, workers)
+			if err == nil || err.Error() != wantMsg {
+				t.Fatalf("workers=%d round %d: got error %v, want %q", workers, round, err, wantMsg)
+			}
+			for _, scc := range clean {
+				if _, ok := ran.Load(scc); ok {
+					t.Fatalf("workers=%d round %d: clean SCC %d was walked", workers, round, scc)
+				}
+			}
+			if workers > 1 && laterWaveRuns != 0 {
+				t.Fatalf("workers=%d round %d: %d SCCs from waves after the faulty one ran", workers, round, laterWaveRuns)
+			}
 		}
 	}
 }

@@ -139,28 +139,6 @@ func (r *Report) RacyPartners(n ast.NodeID) []ast.NodeID {
 	return out
 }
 
-// Analyze runs the full RELAY pipeline with the sequential bottom-up
-// summary walk. AnalyzeParallel distributes the walk over SCC waves and
-// produces a byte-identical Report.
-func Analyze(info *types.Info, pta *pointsto.Analysis, cg *callgraph.Graph) *Report {
-	return AnalyzeParallel(info, pta, cg, 1)
-}
-
-// AnalyzeProgram is a convenience wrapper building all prerequisite
-// analyses from a type-checked file.
-func AnalyzeProgram(info *types.Info) *Report {
-	return AnalyzeProgramParallel(info, 1)
-}
-
-// AnalyzeProgramParallel is AnalyzeProgram with the summary computation
-// fanned over the given number of workers; the report is byte-identical
-// for every worker count.
-func AnalyzeProgramParallel(info *types.Info, workers int) *Report {
-	pta := pointsto.Analyze(info)
-	cg := callgraph.Build(info, pta)
-	return AnalyzeParallel(info, pta, cg, workers)
-}
-
 // ---------------------------------------------------------------------------
 // Summaries
 
@@ -206,33 +184,12 @@ type analyzer struct {
 	summaries map[*types.FuncInfo]*Summary
 
 	// sccFault, when non-nil, is invoked before each SCC's fixpoint in the
-	// parallel scheduler; a non-nil return aborts the analysis. Test-only:
-	// it exists to exercise mid-wave error cancellation.
+	// summary walk; a non-nil return aborts the analysis. Test-only: it
+	// exists to exercise mid-wave error cancellation.
 	sccFault func(scc int) error
 }
 
 const maxSummaryAccesses = 200000
-
-func (rl *analyzer) computeSummaries() {
-	for _, scc := range rl.cg.SCCs {
-		for _, fn := range scc {
-			rl.summaries[fn] = &Summary{Fn: fn, accessKeys: make(map[string]bool)}
-		}
-		// Iterate the SCC to a fixpoint (single-function SCCs converge in
-		// one pass unless self-recursive).
-		for iter := 0; iter < 5; iter++ {
-			changed := false
-			for _, fn := range scc {
-				if rl.analyzeFunc(fn) {
-					changed = true
-				}
-			}
-			if !changed {
-				break
-			}
-		}
-	}
-}
 
 // lockstate is the per-program-point relative lockset.
 type lockstate struct {

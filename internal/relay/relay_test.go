@@ -2,16 +2,11 @@ package relay
 
 import (
 	"testing"
-
-	"repro/internal/minic/parser"
-	"repro/internal/minic/types"
 )
 
 func analyze(t *testing.T, src string) *Report {
 	t.Helper()
-	f := parser.MustParse("t.mc", src)
-	info := types.MustCheck(f)
-	return AnalyzeProgram(info)
+	return analyzeWith(t, src, 1)
 }
 
 // racyVar reports whether any race pair touches the named global.

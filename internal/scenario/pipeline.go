@@ -122,11 +122,11 @@ func RunPipeline(spec Spec) *Result {
 	// through the summary codec) and a primed store (every function
 	// reused) must both render byte-identically to the fresh analysis.
 	store := summary.NewStore()
-	cold, err := core.LoadIncremental(name, src, 1, store)
+	cold, err := core.LoadWith(name, src, core.LoadOptions{Store: store})
 	if err != nil {
 		return res.fail("incremental", err)
 	}
-	warm, err := core.LoadIncremental(name, src, 1, store)
+	warm, err := core.LoadWith(name, src, core.LoadOptions{Store: store})
 	if err != nil {
 		return res.fail("incremental", err)
 	}

@@ -120,7 +120,7 @@ func (e *Engine) tenant(name string) *tenantState {
 		view := e.store.View(name)
 		t = &tenantState{
 			name: name,
-			env:  &Env{Cache: core.NewIncrementalCache(view), Store: view},
+			env:  &Env{Cache: core.NewCache(view), Store: view},
 		}
 		e.tenants[name] = t
 	}
@@ -585,7 +585,7 @@ func (e *Engine) instrumentFor(tenant, name, source, config string, useMHP bool)
 	if name == "" {
 		name = "prog"
 	}
-	prog, err := env.loadProgram(name, source, 1)
+	prog, err := env.loadProgram(name, source, core.LoadOptions{})
 	if err != nil {
 		return nil, err
 	}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/bench/harness"
-	"repro/internal/callgraph"
 	"repro/internal/certify"
 	"repro/internal/cfg"
 	"repro/internal/core"
@@ -19,10 +18,7 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/mhp"
 	"repro/internal/minic/ast"
-	"repro/internal/minic/parser"
-	"repro/internal/minic/types"
 	"repro/internal/oskit"
-	"repro/internal/pointsto"
 	"repro/internal/relay"
 	"repro/internal/scenario"
 	"repro/internal/summary"
@@ -35,24 +31,25 @@ import (
 // RunRequest behave exactly like the historical racecheck run — every
 // invocation computes from scratch.
 //
-// The cache is a pure accelerator: artifacts it returns are proven
-// byte-identical to fresh computation (the determinism test layer), and
-// any cache-path failure falls back to the offline path, so an Env can
-// change wall time and -summary-stats counters but never a verdict byte.
+// The cache is a pure accelerator: it loads through the same
+// core.LoadWith as the one-shot path, and the artifacts it returns are
+// proven byte-identical to fresh computation (the determinism test
+// layer), so an Env can change wall time and -summary-stats counters but
+// never a verdict byte — load errors included.
 type Env struct {
 	Cache *core.Cache
 	Store *summary.Store
 }
 
 // loadProgram loads an analyzed program through the tenant cache when
-// one is available, falling back to the offline whole-program load.
-// Both routes produce identical artifacts and identical error text
-// (they share core's Load* wrapping).
-func (env *Env) loadProgram(name, src string, workers int) (*core.Program, error) {
+// one is available (which brings its own summary store, so o.Store is
+// not used), and through core.LoadWith otherwise. Both routes produce
+// identical artifacts and identical error text.
+func (env *Env) loadProgram(name, src string, o core.LoadOptions) (*core.Program, error) {
 	if env != nil && env.Cache != nil {
-		return env.Cache.Load(name, src, workers)
+		return env.Cache.Load(name, src, o.Workers, o.Tracer)
 	}
-	return core.LoadParallel(name, src, workers)
+	return core.LoadWith(name, src, o)
 }
 
 // optionsFor maps a configuration name (without the "+mhp" suffix) to
@@ -125,7 +122,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		}
 		name := strings.TrimSuffix(filepath.Base(req.Args[0]), filepath.Ext(req.Args[0]))
 		sp := req.Tracer.Start("analyze")
-		prog, err := env.loadProgram(name, string(src), 1)
+		prog, err := env.loadProgram(name, string(src), core.LoadOptions{})
 		sp.End()
 		if err != nil {
 			fmt.Fprintln(errOut, "racecheck:", err)
@@ -166,51 +163,26 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		fmt.Fprintln(errOut, "racecheck:", err)
 		return ExitFailure
 	}
-	sp := req.Tracer.Start("parse")
-	file, err := parser.Parse(req.Args[0], string(src))
-	sp.End()
-	if err != nil {
-		fmt.Fprintln(errOut, "racecheck:", err)
-		return ExitFailure
-	}
-	sp = req.Tracer.Start("typecheck")
-	info, err := types.Check(file)
-	sp.End()
-	if err != nil {
-		fmt.Fprintln(errOut, "racecheck:", err)
-		return ExitFailure
-	}
-
-	// The analysis artifact. With a tenant Env the shared cache supplies
-	// it (recomputing at most once per distinct source); the one-shot
-	// paths below stay exactly as the CLI always ran them. prog stays nil
-	// on any cache-path failure, falling through to the offline walk —
-	// the cache can accelerate a verdict but never alter it.
-	var prog *core.Program
-	sp = req.Tracer.Start("analyze")
-	if env != nil && env.Cache != nil {
-		if p, cerr := env.Cache.Load(req.Args[0], string(src), req.Parallel); cerr == nil {
-			prog = p
-		}
-	}
-	var rep *relay.Report
-	var incStats *relay.IncrementalStats
-	var store *summary.Store
+	// The analysis artifact, from the tenant's cache when the Env has
+	// one (recomputed at most once per distinct source, over the tenant's
+	// summary store); one-shot loads under -incremental get a fresh store.
+	o := core.LoadOptions{Workers: req.Parallel, Tracer: req.Tracer}
+	var store *summary.Store // the store -summary-stats reports
 	switch {
-	case prog != nil:
-		rep = prog.Races
-		incStats = prog.Incremental
-		if env != nil {
-			store = env.Store
-		}
+	case env != nil && env.Cache != nil:
+		store = env.Store
 	case req.Incremental:
-		store = summary.NewStore()
-		pta := pointsto.Analyze(info)
-		cg := callgraph.Build(info, pta)
-		rep, incStats = relay.AnalyzeIncremental(info, pta, cg, req.Parallel, store)
-	default:
-		rep = relay.AnalyzeProgramParallel(info, req.Parallel)
+		o.Store = summary.NewStore()
+		store = o.Store
 	}
+	sp := req.Tracer.Start("analyze")
+	prog, err := env.loadProgram(req.Args[0], string(src), o)
+	if err != nil {
+		sp.End()
+		fmt.Fprintln(errOut, "racecheck:", err)
+		return ExitFailure
+	}
+	rep := prog.Races
 	sp.SetAttr("pairs", int64(len(rep.Pairs))).End()
 	if req.Pairs {
 		sp = req.Tracer.Start("report")
@@ -220,12 +192,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 	}
 	if req.MHP {
 		sp = req.Tracer.Start("mhp-refine")
-		var refined *relay.Report
-		if prog != nil {
-			refined = prog.RefinedRaces()
-		} else {
-			refined = mhp.Refine(rep)
-		}
+		refined := prog.RefinedRaces()
 		sp.SetAttr("kept", int64(len(refined.Pairs))).End()
 		fmt.Fprintf(out, "%s: %d potential race pairs, MHP kept %d, pruned %d\n",
 			req.Args[0], len(rep.Pairs), len(refined.Pairs), len(refined.Pruned))
@@ -242,13 +209,10 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		sp = req.Tracer.Start("precision-refine")
 		prior := len(rep.Pruned)
 		var refined *relay.Report
-		switch {
-		case prog != nil && req.MHP:
+		if req.MHP {
 			refined = prog.PrecisionRaces()
-		case prog != nil:
+		} else {
 			refined = prog.PrecisionRacesBase()
-		default:
-			refined = escape.Refine(rep)
 		}
 		sp.SetAttr("kept", int64(len(refined.Pairs))).End()
 		fmt.Fprintf(out, "%s: precision kept %d, discharged %d\n",
@@ -299,7 +263,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		}
 		sort.Strings(names)
 		for _, name := range names {
-			fn := info.Funcs[name]
+			fn := prog.Info.Funcs[name]
 			g := cfg.Build(fn.Decl)
 			fmt.Fprint(out, g.String())
 			loops := g.NaturalLoops()
@@ -307,7 +271,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		}
 	}
 
-	if req.SummaryStats && incStats != nil {
+	if incStats := prog.Incremental; req.SummaryStats && incStats != nil {
 		fmt.Fprintf(out, "incremental: %d function(s), %d reused, %d recomputed, %d dirty SCC(s), %d unkeyable\n",
 			incStats.TotalFuncs, incStats.ReusedFuncs, incStats.RecomputedFuncs,
 			incStats.DirtySCCs, len(incStats.Unkeyable))
@@ -382,7 +346,7 @@ func runBatch(dir string, workers int, useMHP, showStats bool, out, errOut io.Wr
 	sort.Strings(paths)
 
 	store := summary.NewStore()
-	cache := core.NewIncrementalCache(store)
+	cache := core.NewCache(store)
 	status := ExitOK
 	for _, path := range paths {
 		src, err := os.ReadFile(path)
@@ -391,7 +355,7 @@ func runBatch(dir string, workers int, useMHP, showStats bool, out, errOut io.Wr
 			return ExitFailure
 		}
 		name := strings.TrimSuffix(filepath.Base(path), filepath.Ext(path))
-		prog, err := cache.Load(name, string(src), workers)
+		prog, err := cache.Load(name, string(src), workers, nil)
 		if err != nil {
 			fmt.Fprintf(errOut, "racecheck: %s: %v\n", path, err)
 			status = ExitFailure
@@ -619,7 +583,7 @@ func runDynamicBench(env *Env, name, checker string, seed uint64, out, errOut io
 	}
 	status := ExitOK
 	for _, b := range list {
-		prog, err := env.loadProgram(b.Name, b.FullSource(), 1)
+		prog, err := env.loadProgram(b.Name, b.FullSource(), core.LoadOptions{})
 		if err != nil {
 			fmt.Fprintf(errOut, "racecheck: %s: %v\n", b.Name, err)
 			return ExitFailure
@@ -682,7 +646,7 @@ func runBench(env *Env, name, label string, opts instrument.Options, useMHP, use
 	}
 	status := ExitOK
 	for _, b := range list {
-		prog, err := env.loadProgram(b.Name, b.FullSource(), 1)
+		prog, err := env.loadProgram(b.Name, b.FullSource(), core.LoadOptions{})
 		if err != nil {
 			fmt.Fprintf(errOut, "racecheck: %s: %v\n", b.Name, err)
 			return ExitFailure

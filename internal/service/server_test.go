@@ -325,34 +325,47 @@ func TestRemoteRunMatchesOffline(t *testing.T) {
 
 	// -trace, by contrast, is handled client-side: the job returns its
 	// span tree and the client writes a Perfetto file naming queue-wait
-	// and every pipeline stage.
-	tracePath := filepath.Join(t.TempDir(), "req.trace.json")
-	traced := build()
-	traced.TracePath = tracePath
-	var to, te bytes.Buffer
-	if code := RemoteRun(ts.URL, "cli", traced, &to, &te); code != offCode {
-		t.Fatalf("RemoteRun with -trace: exit %d, want %d (stderr %q)", code, offCode, te.String())
-	}
-	data, err := os.ReadFile(tracePath)
-	if err != nil {
-		t.Fatalf("read trace: %v", err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name string `json:"name"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	names := make(map[string]bool, len(doc.TraceEvents))
-	for _, ev := range doc.TraceEvents {
-		names[ev.Name] = true
-	}
-	for _, want := range []string{"request", "queue-wait", "run", "parse", "typecheck", "analyze", "mhp-refine", "report", "verdict-encode"} {
-		if !names[want] {
-			t.Errorf("trace lacks span %q (have %v)", want, names)
+	// and every pipeline stage. The request goes to a tenant no earlier
+	// request used, so its load is cold and runs every loader stage
+	// under analyze; resubmitted, it hits the tenant cache and the
+	// loader's stages are gone.
+	traceNames := func(tracePath string) map[string]bool {
+		t.Helper()
+		traced := build()
+		traced.TracePath = tracePath
+		var to, te bytes.Buffer
+		if code := RemoteRun(ts.URL, "cli-traced", traced, &to, &te); code != offCode {
+			t.Fatalf("RemoteRun with -trace: exit %d, want %d (stderr %q)", code, offCode, te.String())
 		}
+		data, err := os.ReadFile(tracePath)
+		if err != nil {
+			t.Fatalf("read trace: %v", err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatalf("trace is not valid JSON: %v", err)
+		}
+		names := make(map[string]bool, len(doc.TraceEvents))
+		for _, ev := range doc.TraceEvents {
+			names[ev.Name] = true
+		}
+		return names
+	}
+	cold := traceNames(filepath.Join(t.TempDir(), "cold.trace.json"))
+	for _, want := range []string{"request", "queue-wait", "run", "analyze",
+		"lex-parse", "typecheck", "compile", "points-to", "callgraph", "relay",
+		"mhp-refine", "report", "verdict-encode"} {
+		if !cold[want] {
+			t.Errorf("cold trace lacks span %q (have %v)", want, cold)
+		}
+	}
+	warm := traceNames(filepath.Join(t.TempDir(), "warm.trace.json"))
+	if !warm["analyze"] || warm["lex-parse"] {
+		t.Errorf("warm trace: want analyze with no lex-parse beneath it (have %v)", warm)
 	}
 	// A missing source file fails exactly like the offline CLI.
 	missing := build()

@@ -59,7 +59,7 @@ func inlineReq(name, src string, mut func(*Request)) *Request {
 // whole-program cache over a tenant view of a summary store.
 func tenantEnv(store *summary.Store, tenant string) *Env {
 	view := store.View(tenant)
-	return &Env{Cache: core.NewIncrementalCache(view), Store: view}
+	return &Env{Cache: core.NewCache(view), Store: view}
 }
 
 // timingRE matches the wall-clock fields of -dynamic output — the only
@@ -92,15 +92,26 @@ func TestRunRequestEnvByteIdentity(t *testing.T) {
 		{"incremental", func(r *Request) { r.Incremental = true }},
 		{"parallel", func(r *Request) { r.Parallel = 4 }},
 	}
-	for _, src := range []struct{ name, text string }{
-		{"racy.mc", racySrc},
-		{"clean.mc", cleanSrc},
+	// Sources that fail to load carry the exact stderr of the default
+	// variant: the failing stage and file, then the position.
+	for _, src := range []struct{ name, text, wantErr string }{
+		{"racy.mc", racySrc, ""},
+		{"clean.mc", cleanSrc, ""},
+		{"parse.mc", "int main(void) { return 0 }\n", "racecheck: parse parse.mc: 1:27: expected ;, found }\n"},
+		{"bad.mc", "int main(void) { return x; }\n", "racecheck: check bad.mc: 1:25: undefined: x\n"},
+		{"nomain.mc", "int g;\nvoid f(void) { g = 1; }\n", "racecheck: compile nomain.mc: 0:0: program has no main function\n"},
 	} {
 		store := summary.NewStore()
 		env := tenantEnv(store, "t1")
 		for _, v := range variants {
 			var offOut, offErr bytes.Buffer
 			offCode := RunRequest(inlineReq(src.name, src.text, v.mut), nil, &offOut, &offErr)
+			if src.wantErr != "" && v.mut == nil {
+				if offCode != ExitFailure || offOut.Len() != 0 || offErr.String() != src.wantErr {
+					t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit %d and stderr %q",
+						src.name, offCode, offOut.String(), offErr.String(), ExitFailure, src.wantErr)
+				}
+			}
 			// Two env runs: the first is cold, the second hits the
 			// tenant's whole-program cache. Both must match offline.
 			for pass := 0; pass < 2; pass++ {

@@ -65,11 +65,11 @@ func (c *EpochChecker) RaceCount() int { return len(c.rep.races) }
 
 // WallNS returns the cumulative wall-clock nanoseconds this checker spent
 // consuming event batches (the harness's checker_wall_ns metric). Only
-// batched delivery through Drain is timed; the per-call hook path is for
-// tests.
+// batched delivery through Drain is timed; direct Access/SyncEvent calls
+// are for tests.
 func (c *EpochChecker) WallNS() int64 { return c.wall }
 
-// Access implements vm.TraceHook.
+// Access observes one shared-memory access.
 func (c *EpochChecker) Access(tid int, addr int64, write bool, node ast.NodeID, clock int64) {
 	s, ok := c.shadow[addr]
 	if !ok {
@@ -162,7 +162,7 @@ func (c *EpochChecker) Access(tid int, addr int64, write bool, node ast.NodeID, 
 	s.hasR = false
 }
 
-// SyncEvent implements vm.SyncEventHook.
+// SyncEvent observes one synchronization operation.
 func (c *EpochChecker) SyncEvent(key vm.SyncKey, kind vm.SyncEventKind, tid int, clock int64) {
 	c.hb.syncEvent(key, kind, tid)
 }

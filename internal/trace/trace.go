@@ -92,12 +92,13 @@ type access struct {
 }
 
 // RaceChecker is the common surface of both checker implementations: a VM
-// observer (batched sink, with the legacy per-call hooks kept for direct
-// embedding in tests) that accumulates race verdicts.
+// observer (batched sink) that accumulates race verdicts. Access and
+// SyncEvent consume one event each — Drain's per-event steps, exposed so
+// differential tests can feed checkers a synthetic stream directly.
 type RaceChecker interface {
 	vm.EventSink
-	vm.TraceHook
-	vm.SyncEventHook
+	Access(tid int, addr int64, write bool, node ast.NodeID, clock int64)
+	SyncEvent(key vm.SyncKey, kind vm.SyncEventKind, tid int, clock int64)
 	Races() []Race
 	RaceCount() int
 }
@@ -269,7 +270,7 @@ func (c *VectorChecker) Races() []Race { return c.rep.sorted() }
 // RaceCount returns the number of distinct races.
 func (c *VectorChecker) RaceCount() int { return len(c.rep.races) }
 
-// Access implements vm.TraceHook.
+// Access observes one shared-memory access.
 func (c *VectorChecker) Access(tid int, addr int64, write bool, node ast.NodeID, clock int64) {
 	v := *c.hb.vc(tid)
 	cur := access{tid: tid, clk: c.hb.clockOf(tid), node: node}
@@ -307,7 +308,7 @@ func (c *VectorChecker) Access(tid int, addr int64, write bool, node ast.NodeID,
 	s.reads = append(s.reads, cur)
 }
 
-// SyncEvent implements vm.SyncEventHook.
+// SyncEvent observes one synchronization operation.
 func (c *VectorChecker) SyncEvent(key vm.SyncKey, kind vm.SyncEventKind, tid int, clock int64) {
 	c.hb.syncEvent(key, kind, tid)
 }

@@ -22,7 +22,7 @@ func runChecked(t *testing.T, src string, seed uint64) *EpochChecker {
 	w := oskit.NewWorld(1)
 	r := vm.Run(p, vm.Config{
 		Inputs: vm.LiveInputs{OS: w}, Seed: seed,
-		Trace: chk, SyncEvents: chk,
+		Sinks: []vm.EventSink{chk},
 	})
 	if r.Err != nil {
 		t.Fatalf("run: %v", r.Err)
@@ -199,7 +199,7 @@ int main(void) {
 	w := oskit.NewWorld(1)
 	r := vm.Run(p, vm.Config{
 		Inputs: vm.LiveInputs{OS: w}, Seed: 4,
-		Trace: chk, SyncEvents: chk, WL: tbl,
+		Sinks: []vm.EventSink{chk}, WL: tbl,
 	})
 	if r.Err != nil {
 		t.Fatalf("run: %v", r.Err)

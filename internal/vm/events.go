@@ -94,32 +94,3 @@ func (m *machine) flushEvents() {
 	}
 	m.events = m.events[:0]
 }
-
-// hookSink adapts the legacy per-call TraceHook/SyncEventHook observers to
-// the batched sink interface, so existing hook implementations keep
-// working unchanged behind Config.Trace / Config.SyncEvents.
-type hookSink struct {
-	trace TraceHook
-	syncs SyncEventHook
-}
-
-// Drain implements EventSink.
-func (h *hookSink) Drain(events []Event) {
-	for i := range events {
-		e := &events[i]
-		switch e.Kind {
-		case EventRead:
-			if h.trace != nil {
-				h.trace.Access(int(e.Tid), e.Addr, false, e.Node, e.Clock)
-			}
-		case EventWrite:
-			if h.trace != nil {
-				h.trace.Access(int(e.Tid), e.Addr, true, e.Node, e.Clock)
-			}
-		case EventSync:
-			if h.syncs != nil {
-				h.syncs.SyncEvent(e.Key(), e.Sync, int(e.Tid), e.Clock)
-			}
-		}
-	}
-}

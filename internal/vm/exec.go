@@ -188,9 +188,6 @@ func newMachine(p *Program, cfg Config) *machine {
 		m.wlSites = make([]weaklock.SiteStats, cfg.WL.Len())
 	}
 	m.sinks = append(m.sinks, cfg.Sinks...)
-	if cfg.Trace != nil || cfg.SyncEvents != nil {
-		m.sinks = append(m.sinks, &hookSink{trace: cfg.Trace, syncs: cfg.SyncEvents})
-	}
 	if len(m.sinks) > 0 {
 		m.observing = true
 		m.events = make([]Event, 0, EventBatchSize)

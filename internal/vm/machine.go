@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"repro/internal/minic/ast"
 	"repro/internal/minic/types"
 	"repro/internal/weaklock"
 )
@@ -97,7 +96,7 @@ const (
 	EvWLRelease
 	EvWLForcedRelease
 
-	// Additional kinds delivered only through SyncEventHook (not logged):
+	// Additional kinds delivered only to event sinks (not logged):
 	EvBarrierRelease // a thread leaves a barrier generation
 	EvCondWake       // a cond_wait sleeper was woken by a signal
 	EvJoin           // join(child) completed; key.ID is the child tid
@@ -194,25 +193,11 @@ type InputProvider interface {
 	Input(tid int, op types.BuiltinOp, args []int64, sendData []int64, now int64) (val int64, data []int64, ready int64, cost int64, err error)
 }
 
-// TraceHook observes every shared-memory access; used by the dynamic
-// happens-before race checker and by access-count validation.
-type TraceHook interface {
-	Access(tid int, addr int64, write bool, node ast.NodeID, clock int64)
-}
-
 // FuncHook observes function entries and exits; used by the non-concurrency
 // profiler (paper §4).
 type FuncHook interface {
 	Enter(tid int, fn int, clock int64)
 	Exit(tid int, fn int, clock int64)
-}
-
-// SyncEventHook observes every synchronization operation as it happens
-// (acquires AND releases, barrier releases, cond wakeups, spawn/join),
-// regardless of whether a monitor logs it. The dynamic happens-before race
-// checker builds its vector clocks from this stream.
-type SyncEventHook interface {
-	SyncEvent(key SyncKey, kind SyncEventKind, tid int, clock int64)
 }
 
 // Config parameterizes one VM run.
@@ -223,23 +208,14 @@ type Config struct {
 	// Monitor observes or gates sync order. Nil disables both (native run).
 	Monitor SyncMonitor
 
-	// Trace observes memory accesses. Nil disables (it is expensive).
-	// Delivery is batched: the hook is invoked from sink drains, in
-	// program order, not synchronously per instruction.
-	Trace TraceHook
-
 	// Funcs observes function entry/exit. Nil disables.
 	Funcs FuncHook
 
-	// SyncEvents observes every sync operation. Nil disables. Like Trace,
-	// delivery is batched through the event-sink runtime.
-	SyncEvents SyncEventHook
-
 	// Sinks receive the batched observation event stream (memory accesses
-	// and sync operations, in program order). This is the preferred
-	// observer interface: the interpreter hot loop appends to a flat
-	// buffer and sinks pay one dispatch per EventBatchSize events. Trace
-	// and SyncEvents are adapted onto the same stream internally.
+	// and every sync operation — acquires and releases, barrier releases,
+	// cond wakeups, spawn/join — in program order, whether or not a
+	// monitor logs it): the interpreter hot loop appends to a flat buffer
+	// and sinks pay one dispatch per EventBatchSize events.
 	Sinks []EventSink
 
 	// WL is the weak-lock table; required if the program executes wl_*
