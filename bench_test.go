@@ -198,8 +198,8 @@ func BenchmarkAblationLoopBodyThreshold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, _ := ip.Record(core.RunConfig{
-				World: bm.EvalWorld(4), Seed: 1234, Table: ip.Table})
+			res, _, _ := ip.RecordTo(core.RunConfig{
+				World: bm.EvalWorld(4), Seed: 1234, Table: ip.Table}, nil)
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}
@@ -234,8 +234,8 @@ func BenchmarkAblationCliqueSharing(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, _ := ip.Record(core.RunConfig{
-				World: bm.EvalWorld(4), Seed: 1234, Table: ip.Table})
+			res, _, _ := ip.RecordTo(core.RunConfig{
+				World: bm.EvalWorld(4), Seed: 1234, Table: ip.Table}, nil)
 			if res.Err != nil {
 				b.Fatal(res.Err)
 			}

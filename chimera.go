@@ -25,7 +25,7 @@
 //	prog, err := chimera.Load("demo", src)           // parse + RELAY
 //	conc := prog.ProfileNonConcurrency(worlds, 6, 1) // paper §4
 //	inst, err := prog.Instrument(conc, chimera.AllOptions())
-//	rec, log := inst.Record(chimera.RunConfig{World: w, Seed: 1, Table: inst.Table})
+//	rec, log, _ := inst.RecordTo(chimera.RunConfig{World: w, Seed: 1, Table: inst.Table}, nil)
 //	rep, err := inst.Replay(log, chimera.RunConfig{World: w2, Seed: 999, Table: inst.Table})
 //	// rec.Hash64() == rep.Hash64(): bit-identical replay under a different schedule.
 //
@@ -97,12 +97,6 @@ func NaiveOptions() Options { return instrument.NaiveOptions() }
 // AllOptions enables the profile and symbolic-bounds optimizations (the
 // paper's 1.39x "inst+bb+loop+func" configuration).
 func AllOptions() Options { return instrument.AllOptions() }
-
-// Replay re-executes a recorded program; determinism comes from the log,
-// not the seed.
-func Replay(p *Program, table *Table, log *Log, rc RunConfig) (*Result, error) {
-	return core.ReplayProgram(p, table, log, rc)
-}
 
 // CheckDynamicRaces runs a program under the vector-clock checker and
 // returns the distinct races observed.

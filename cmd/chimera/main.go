@@ -83,7 +83,7 @@ func main() {
 			counts[weaklock.KindBB], counts[weaklock.KindInstr])
 
 	case "record":
-		res, log := ip.Record(core.RunConfig{World: world(), Seed: *seed, Table: ip.Table})
+		res, log, _ := ip.RecordTo(core.RunConfig{World: world(), Seed: *seed, Table: ip.Table}, nil)
 		if res.Err != nil {
 			fatal(res.Err)
 		}

@@ -67,8 +67,8 @@ func main() {
 	fmt.Printf("dynamic races under the extended sync set: %d\n", len(races))
 
 	// 4. Record once, replay under a very different schedule.
-	recRes, recLog := inst.Record(chimera.RunConfig{
-		World: chimera.NewWorld(1), Seed: 42, Table: inst.Table})
+	recRes, recLog, _ := inst.RecordTo(chimera.RunConfig{
+		World: chimera.NewWorld(1), Seed: 42, Table: inst.Table}, nil)
 	if recRes.Err != nil {
 		log.Fatal(recRes.Err)
 	}

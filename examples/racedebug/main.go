@@ -62,8 +62,8 @@ func main() {
 	// schedule seeds until the invariant (total == 10000) breaks.
 	fmt.Println("recording runs until the atomicity violation manifests...")
 	for seed := uint64(0); seed < 64; seed++ {
-		recRes, recLog := inst.Record(chimera.RunConfig{
-			World: chimera.NewWorld(1), Seed: seed, Table: inst.Table})
+		recRes, recLog, _ := inst.RecordTo(chimera.RunConfig{
+			World: chimera.NewWorld(1), Seed: seed, Table: inst.Table}, nil)
 		if recRes.Err != nil {
 			log.Fatal(recRes.Err)
 		}

@@ -59,8 +59,8 @@ func main() {
 		precise, inf)
 
 	// Record with the sanity check enabled, replay under another seed.
-	recRes, recLog := inst.Record(chimera.RunConfig{
-		World: b.EvalWorld(4), Seed: 11, Table: inst.Table})
+	recRes, recLog, _ := inst.RecordTo(chimera.RunConfig{
+		World: b.EvalWorld(4), Seed: 11, Table: inst.Table}, nil)
 	if recRes.Err != nil {
 		log.Fatal(recRes.Err)
 	}

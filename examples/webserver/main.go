@@ -49,8 +49,8 @@ func main() {
 	if native.Err != nil {
 		log.Fatal(native.Err)
 	}
-	recRes, recLog := inst.Record(chimera.RunConfig{
-		World: b.EvalWorld(4), Seed: 3, Table: inst.Table})
+	recRes, recLog, _ := inst.RecordTo(chimera.RunConfig{
+		World: b.EvalWorld(4), Seed: 3, Table: inst.Table}, nil)
 	if recRes.Err != nil {
 		log.Fatal(recRes.Err)
 	}

@@ -68,15 +68,6 @@ func TestFigure8Render(t *testing.T) {
 	}
 }
 
-func TestOptionsForPanicsOnUnknown(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for unknown config")
-		}
-	}()
-	OptionsFor("bogus")
-}
-
 func TestNewSuiteUnknownBenchmark(t *testing.T) {
 	if _, err := NewSuite(Default(), "nope"); err == nil {
 		t.Error("unknown benchmark should error")

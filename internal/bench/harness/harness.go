@@ -46,24 +46,6 @@ var ConfigNames = []string{"instr", "instr+func", "instr+loop", "all"}
 // may-happen-in-parallel refinement pruning the race pairs first.
 var MHPConfigNames = []string{"instr", "instr+mhp", "all", "all+mhp"}
 
-// OptionsFor maps a configuration name to instrumenter options. A "+mhp"
-// suffix selects the same options over the MHP-refined race report and is
-// stripped here.
-func OptionsFor(name string) instrument.Options {
-	name = strings.TrimSuffix(name, "+mhp")
-	switch name {
-	case "instr":
-		return instrument.NaiveOptions()
-	case "instr+func":
-		return instrument.Options{FuncLocks: true}
-	case "instr+loop":
-		return instrument.Options{LoopLocks: true, LoopBodyThreshold: 14}
-	case "all":
-		return instrument.AllOptions()
-	}
-	panic("unknown config " + name)
-}
-
 // Config parameterizes the harness.
 type Config struct {
 	Workers    int    // evaluation worker count (default 4)
@@ -117,26 +99,12 @@ type Prepared struct {
 	mu sync.Mutex // guards lazy additions to Inst
 }
 
-// RefinedReport returns (computing once) the MHP-refined race report.
-func (p *Prepared) RefinedReport() *relay.Report {
-	return p.Prog.RefinedRaces()
-}
-
 // ReportFor returns the race report a configuration instruments: the
 // MHP-refined one for "+mhp" configurations, the full RELAY report
 // otherwise; with Precision set, each of those additionally passes
 // through the static precision layer.
 func (p *Prepared) ReportFor(configName string) *relay.Report {
-	mhp := strings.HasSuffix(configName, "+mhp")
-	switch {
-	case p.Precision && mhp:
-		return p.Prog.PrecisionRaces()
-	case p.Precision:
-		return p.Prog.PrecisionRacesBase()
-	case mhp:
-		return p.RefinedReport()
-	}
-	return p.Prog.Races
+	return p.Prog.Report(strings.HasSuffix(configName, "+mhp"), p.Precision)
 }
 
 // Instrumented returns the instrumentation for a configuration, building
@@ -148,7 +116,11 @@ func (p *Prepared) Instrumented(configName string) (*core.Instrumented, error) {
 	if ip, ok := p.Inst[configName]; ok {
 		return ip, nil
 	}
-	ip, err := p.Prog.InstrumentWith(p.ReportFor(configName), p.Conc, OptionsFor(configName))
+	opts, ok := instrument.OptionsFor(strings.TrimSuffix(configName, "+mhp"))
+	if !ok {
+		return nil, fmt.Errorf("%s: unknown config %q", p.B.Name, configName)
+	}
+	ip, err := p.Prog.InstrumentWith(p.ReportFor(configName), p.Conc, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", p.B.Name, configName, err)
 	}
@@ -252,11 +224,9 @@ func prepareWith(cache *core.Cache, b *bench.Benchmark, workers int, precision b
 	conc := prog.ProfileNonConcurrency(b.ProfileWorld, b.ProfileRuns, 10_000)
 	p := &Prepared{B: b, Prog: prog, Conc: conc, Precision: precision, Inst: make(map[string]*core.Instrumented)}
 	for _, cn := range ConfigNames {
-		ip, err := prog.InstrumentWith(p.ReportFor(cn), conc, OptionsFor(cn))
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", b.Name, cn, err)
+		if _, err := p.Instrumented(cn); err != nil {
+			return nil, err
 		}
-		p.Inst[cn] = ip
 	}
 	return p, nil
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/bench"
 	"repro/internal/certify"
 	"repro/internal/core"
+	"repro/internal/instrument"
 	"repro/internal/obs"
 	"repro/internal/oskit"
 	"repro/internal/replay"
@@ -26,8 +27,9 @@ import (
 // selects the harness defaults (config "all", epoch checker, Default()
 // seeds and heap).
 type ObserveOptions struct {
-	// Config is the instrumentation configuration name (OptionsFor
-	// vocabulary, "+mhp" suffix honored). Default "all".
+	// Config is the instrumentation configuration name
+	// (instrument.OptionsFor vocabulary, "+mhp" suffix honored). Default
+	// "all".
 	Config string
 
 	// Workers is the evaluation-world worker count. Default Default().Workers.
@@ -159,7 +161,10 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 		SetAttr("concurrent_pairs", int64(conc.PairCount())).End()
 
 	sp = tr.Start("instrument")
-	iopts := OptionsFor(o.Config)
+	iopts, known := instrument.OptionsFor(strings.TrimSuffix(o.Config, "+mhp"))
+	if !known {
+		return nil, fmt.Errorf("unknown config %q", o.Config)
+	}
 	iopts.Tracer = tr
 	ip, err := prog.InstrumentWith(rep, conc, iopts)
 	if err != nil {

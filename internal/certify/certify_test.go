@@ -32,16 +32,6 @@ type benchPrep struct {
 	inst map[string]*core.Instrumented // by config name
 }
 
-func optionsFor(config string) instrument.Options {
-	switch config {
-	case "instr", "instr+mhp":
-		return instrument.NaiveOptions()
-	case "all", "all+mhp":
-		return instrument.AllOptions()
-	}
-	panic("unknown config " + config)
-}
-
 func prepare(t *testing.T, name string) *benchPrep {
 	t.Helper()
 	prepMu.Lock()
@@ -69,12 +59,13 @@ func (p *benchPrep) instrumented(t *testing.T, config string) *core.Instrumented
 	if ip, ok := p.inst[config]; ok {
 		return ip
 	}
-	rep := p.prog.Races
-	if config == "instr+mhp" || config == "all+mhp" {
-		rep = p.prog.RefinedRaces()
+	base, mhp := strings.CutSuffix(config, "+mhp")
+	opts, ok := instrument.OptionsFor(base)
+	if !ok {
+		t.Fatalf("unknown config %q", config)
 	}
 	conc := p.prog.ProfileNonConcurrency(p.b.ProfileWorld, p.b.ProfileRuns, 10_000)
-	ip, err := p.prog.InstrumentWith(rep, conc, optionsFor(config))
+	ip, err := p.prog.InstrumentWith(p.prog.Report(mhp, false), conc, opts)
 	if err != nil {
 		t.Fatalf("instrument %s/%s: %v", p.b.Name, config, err)
 	}

@@ -340,6 +340,22 @@ func (p *Program) PrecisionRacesBase() *relay.Report {
 	return p.precBase
 }
 
+// Report returns the race report a configuration instruments: the full
+// RELAY report, the MHP-refined one with mhp, and with precision the
+// static precision layer applied over either. Every variant is computed
+// once and shared.
+func (p *Program) Report(mhp, precision bool) *relay.Report {
+	switch {
+	case mhp && precision:
+		return p.PrecisionRaces()
+	case precision:
+		return p.PrecisionRacesBase()
+	case mhp:
+		return p.RefinedRaces()
+	}
+	return p.Races
+}
+
 // precisionOver applies the precision layer to a base report, memoizing
 // verdicts in the summary store on incrementally loaded programs. Each
 // (layer, base) combination stores under its own key derived from the
@@ -379,31 +395,26 @@ func (p *Program) InstrumentWith(rep *relay.Report, conc *profile.Concurrency, o
 	return &Instrumented{Orig: p, Prog: ip, Table: res.Table, Report: res, Rep: rep}, nil
 }
 
-// Record executes the instrumented program while logging inputs and sync
-// order; it returns the run result and the log.
-func (ip *Instrumented) Record(rc RunConfig) (*vm.Result, *replay.Log) {
-	return RecordProgram(ip.Prog, ip.Table, rc)
-}
-
-// RecordTo is Record with the log additionally streamed to w; see
-// RecordProgramTo.
+// RecordTo records the instrumented program; see Record.
 func (ip *Instrumented) RecordTo(rc RunConfig, w io.Writer) (*vm.Result, *replay.Log, *replay.LogWriter) {
-	return RecordProgramTo(ip.Prog, ip.Table, rc, w)
+	return Record(ip.Prog, ip.Table, rc, w)
 }
 
-// RecordProgram records an arbitrary program (e.g. the DRF-only baseline
-// on an uninstrumented program).
-func RecordProgram(p *Program, table *weaklock.Table, rc RunConfig) (*vm.Result, *replay.Log) {
-	r, log, _ := RecordProgramTo(p, table, rc, nil)
-	return r, log
+// Replay re-executes the instrumented program against an in-memory
+// recording; see Replay.
+func (ip *Instrumented) Replay(log *replay.Log, rc RunConfig) (*vm.Result, error) {
+	return Replay(ip.Prog, ip.Table, replay.NewReplayer(log, rc.Cost), rc)
 }
 
-// RecordProgramTo records like RecordProgram while additionally streaming
-// the log to w in the chunked on-disk format as records are committed. The
-// returned LogWriter is already closed; its byte counters attribute the
-// compressed stream to inputs vs sync order (nil when w is nil). Streaming
-// adds no simulated cost — the cost model already charges for logging.
-func RecordProgramTo(p *Program, table *weaklock.Table, rc RunConfig, w io.Writer) (*vm.Result, *replay.Log, *replay.LogWriter) {
+// Record executes a program while logging inputs and sync order; table is
+// its weak-lock table (nil records the DRF-only baseline on an
+// uninstrumented program). It returns the run result and the log. With a
+// non-nil w the log is also streamed to w in the chunked on-disk format as
+// records are committed; the returned LogWriter is then already closed,
+// and its byte counters attribute the compressed stream to inputs vs sync
+// order (nil when w is nil). Streaming adds no simulated cost — the cost
+// model already charges for logging.
+func Record(p *Program, table *weaklock.Table, rc RunConfig, w io.Writer) (*vm.Result, *replay.Log, *replay.LogWriter) {
 	rec := replay.NewRecorder(rc.World, rc.Cost)
 	var lw *replay.LogWriter
 	if w != nil {
@@ -423,8 +434,11 @@ func RecordProgramTo(p *Program, table *weaklock.Table, rc RunConfig, w io.Write
 	return r, rec.Log(), lw
 }
 
-// ReplayProgram re-executes a program against a recording; the seed may
-// differ from the recording seed — determinism must come from the log.
+// Replay re-executes a program against a recording fed by rep — built by
+// replay.NewReplayer over an in-memory Log, or by replay.NewStreamReplayer
+// over a CHIMLOG2 stream such as an on-disk spool. The seed may differ
+// from the recording seed — determinism must come from the log — and the
+// replay must consume every logged record.
 //
 // Recordings containing forced weak-lock preemptions (timeouts) replay
 // too: each preemption was logged with a deterministic anchor (the owner's
@@ -433,8 +447,7 @@ func RecordProgramTo(p *Program, table *weaklock.Table, rc RunConfig, w io.Write
 // it at exactly that point. This goes beyond the paper, which left the
 // replay side unported. Organic timeouts are disabled during replay so the
 // only preemptions are the recorded ones.
-func ReplayProgram(p *Program, table *weaklock.Table, log *replay.Log, rc RunConfig) (*vm.Result, error) {
-	rep := replay.NewReplayer(log, rc.Cost)
+func Replay(p *Program, table *weaklock.Table, rep *replay.Replayer, rc RunConfig) (*vm.Result, error) {
 	cfg := rc.vmConfig()
 	cfg.Inputs = rep
 	cfg.Monitor = rep
@@ -448,51 +461,16 @@ func ReplayProgram(p *Program, table *weaklock.Table, log *replay.Log, rc RunCon
 		return r, r.Err
 	}
 	if !rep.Drained() {
-		return r, fmt.Errorf("replay divergence: order log not fully consumed")
+		return r, fmt.Errorf("replay divergence: log not fully consumed")
 	}
 	return r, nil
-}
-
-// Replay re-executes the instrumented program against a recording.
-func (ip *Instrumented) Replay(log *replay.Log, rc RunConfig) (*vm.Result, error) {
-	return ReplayProgram(ip.Prog, ip.Table, log, rc)
-}
-
-// ReplayProgramStream is ReplayProgram reading the recording from a
-// CHIMLOG2 stream (e.g. an on-disk spool) through replay.StreamReplayer
-// instead of a decoded in-memory Log: chunks are decoded as the replay
-// consumes them, so memory stays bounded by one chunk per stream no
-// matter how long the recording is. This is the replay path of the
-// service's replay-verify jobs, which must never hold whole logs in
-// memory. The divergence checks match ReplayProgram's exactly.
-func ReplayProgramStream(p *Program, table *weaklock.Table, r io.ReadSeeker, rc RunConfig) (*vm.Result, error) {
-	rep, err := replay.NewStreamReplayer(r, rc.Cost)
-	if err != nil {
-		return nil, fmt.Errorf("open log stream: %w", err)
-	}
-	cfg := rc.vmConfig()
-	cfg.Inputs = rep
-	cfg.Monitor = rep
-	cfg.WL = table
-	cfg.DisableTimeouts = true
-	res := vm.Run(p.Code, cfg)
-	if rep.Err() != nil {
-		return res, rep.Err()
-	}
-	if res.Err != nil {
-		return res, res.Err
-	}
-	if !rep.Drained() {
-		return res, fmt.Errorf("replay divergence: order log not fully consumed")
-	}
-	return res, nil
 }
 
 // VerifyDeterministicReplay records with one seed and replays with another;
 // it returns an error unless the replay bit-matches the recording.
 func (ip *Instrumented) VerifyDeterministicReplay(world func() *oskit.World, recSeed, repSeed uint64) error {
 	rc := RunConfig{World: world(), Seed: recSeed, Table: ip.Table}
-	recRes, log := ip.Record(rc)
+	recRes, log, _ := ip.RecordTo(rc, nil)
 	if recRes.Err != nil {
 		return fmt.Errorf("record failed: %w", recRes.Err)
 	}

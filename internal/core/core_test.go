@@ -6,6 +6,8 @@ import (
 
 	"repro/internal/instrument"
 	"repro/internal/oskit"
+	"repro/internal/replay"
+	"repro/internal/vm"
 	"repro/internal/weaklock"
 )
 
@@ -147,11 +149,11 @@ func TestDRFOnlyRecordingDivergesOnRacyProgram(t *testing.T) {
 	p := mustLoad(t, "racy.mc", racyCounter)
 	diverged := false
 	for seed := uint64(0); seed < 6 && !diverged; seed++ {
-		recRes, log := RecordProgram(p, nil, RunConfig{World: world(), Seed: seed})
+		recRes, log, _ := Record(p, nil, RunConfig{World: world(), Seed: seed}, nil)
 		if recRes.Err != nil {
 			t.Fatalf("record: %v", recRes.Err)
 		}
-		repRes, err := ReplayProgram(p, nil, log, RunConfig{World: world(), Seed: seed + 77})
+		repRes, err := Replay(p, nil, replay.NewReplayer(log, vm.CostModel{}), RunConfig{World: world(), Seed: seed + 77})
 		if err != nil || repRes.Hash64() != recRes.Hash64() {
 			diverged = true
 		}
@@ -242,11 +244,11 @@ func TestAllOptsCheaperThanNaive(t *testing.T) {
 		t.Fatalf("all-opts instrument: %v", err)
 	}
 
-	rNaive, _ := naive.Record(RunConfig{World: world(), Seed: 2, Table: naive.Table})
+	rNaive, _, _ := naive.RecordTo(RunConfig{World: world(), Seed: 2, Table: naive.Table}, nil)
 	if rNaive.Err != nil {
 		t.Fatalf("naive record: %v", rNaive.Err)
 	}
-	rAll, _ := allOpt.Record(RunConfig{World: world(), Seed: 2, Table: allOpt.Table})
+	rAll, _, _ := allOpt.RecordTo(RunConfig{World: world(), Seed: 2, Table: allOpt.Table}, nil)
 	if rAll.Err != nil {
 		t.Fatalf("all-opts record: %v", rAll.Err)
 	}

@@ -126,7 +126,7 @@ func TestSoakRandomPrograms(t *testing.T) {
 
 		// Record and replay under two unrelated seeds.
 		recSeed := uint64(trial*31 + 5)
-		rec, log := ip.Record(RunConfig{World: oskit.NewWorld(1), Seed: recSeed, Table: ip.Table})
+		rec, log, _ := ip.RecordTo(RunConfig{World: oskit.NewWorld(1), Seed: recSeed, Table: ip.Table}, nil)
 		if rec.Err != nil {
 			t.Fatalf("trial %d record: %v\noriginal:\n%s\ninstrumented:\n%s",
 				trial, rec.Err, src, ip.Prog.Source)

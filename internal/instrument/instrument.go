@@ -76,6 +76,24 @@ func AllOptions() Options {
 	return Options{FuncLocks: true, LoopLocks: true, BBLocks: true, LoopBodyThreshold: 14}
 }
 
+// OptionsFor maps a configuration name of the Figure 5 set ("instr",
+// "instr+func", "instr+loop", "all") to its options. It reports false for
+// any other name, including the "+mhp" forms: that suffix selects the race
+// report a configuration instruments, not its options.
+func OptionsFor(name string) (Options, bool) {
+	switch name {
+	case "instr":
+		return NaiveOptions(), true
+	case "instr+func":
+		return Options{FuncLocks: true}, true
+	case "instr+loop":
+		return Options{LoopLocks: true, LoopBodyThreshold: 14}, true
+	case "all":
+		return AllOptions(), true
+	}
+	return Options{}, false
+}
+
 // Site describes one instrumentation decision, for reports and tests.
 type Site struct {
 	Node    ast.NodeID // racy lvalue

@@ -278,3 +278,20 @@ func extractFunc(src, name string) string {
 	}
 	return src[i:]
 }
+
+func TestOptionsForRejectsUnknown(t *testing.T) {
+	for _, name := range []string{"instr", "instr+func", "instr+loop", "all"} {
+		if _, ok := OptionsFor(name); !ok {
+			t.Errorf("OptionsFor(%q) rejected a known config", name)
+		}
+	}
+	if opts, _ := OptionsFor("all"); opts != AllOptions() {
+		t.Errorf("OptionsFor(all) = %+v, want AllOptions", opts)
+	}
+	// "+mhp" selects a race report, not options; callers strip it.
+	for _, name := range []string{"bogus", "", "all+mhp", "instr+mhp", "naive"} {
+		if _, ok := OptionsFor(name); ok {
+			t.Errorf("OptionsFor(%q) accepted an unknown config", name)
+		}
+	}
+}

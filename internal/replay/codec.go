@@ -62,88 +62,6 @@ func (wr *wordReader) next() int64 {
 // remaining returns how many whole words are left to read.
 func (wr *wordReader) remaining() int64 { return int64(wr.r.Len() / 8) }
 
-// DecodeInput parses the InputBytes serialization.
-func DecodeInput(data []byte) (map[int][]InputRec, error) {
-	wr := &wordReader{r: bytes.NewReader(data)}
-	out := make(map[int][]InputRec)
-	nTids := wr.next()
-	// Every thread group needs at least two words (tid + count).
-	if nTids < 0 || nTids > wr.remaining()/2 {
-		return nil, fmt.Errorf("replay: corrupt input log (thread count %d)", nTids)
-	}
-	for i := int64(0); i < nTids && wr.err == nil; i++ {
-		tid := int(wr.next())
-		n := wr.next()
-		// Every record needs at least three words (op + val + dataLen).
-		if n < 0 || n > wr.remaining()/3 {
-			return nil, fmt.Errorf("replay: corrupt input log (record count %d)", n)
-		}
-		recs := make([]InputRec, 0, n)
-		for j := int64(0); j < n && wr.err == nil; j++ {
-			rec := InputRec{Op: types.BuiltinOp(wr.next()), Val: wr.next()}
-			dn := wr.next()
-			// Validate against the words actually left, not the total
-			// buffer size: a length can be well under len(data) yet still
-			// overrun the reader (and over-allocate) from here.
-			if dn < 0 || dn > wr.remaining() {
-				return nil, fmt.Errorf("replay: corrupt input log (data length %d, %d words remain)", dn, wr.remaining())
-			}
-			if dn > 0 {
-				rec.Data = make([]int64, dn)
-				for k := int64(0); k < dn; k++ {
-					rec.Data[k] = wr.next()
-				}
-			}
-			recs = append(recs, rec)
-		}
-		out[tid] = recs
-	}
-	if wr.err != nil {
-		return nil, fmt.Errorf("replay: corrupt input log: %w", wr.err)
-	}
-	if wr.r.Len() != 0 {
-		return nil, fmt.Errorf("replay: corrupt input log (%d trailing bytes)", wr.r.Len())
-	}
-	return out, nil
-}
-
-// DecodeOrder parses the OrderBytes serialization.
-func DecodeOrder(data []byte) (map[vm.SyncKey][]OrderRec, error) {
-	wr := &wordReader{r: bytes.NewReader(data)}
-	out := make(map[vm.SyncKey][]OrderRec)
-	nKeys := wr.next()
-	// Every key group needs at least three words (class + id + count).
-	if nKeys < 0 || nKeys > wr.remaining()/3 {
-		return nil, fmt.Errorf("replay: corrupt order log (key count %d)", nKeys)
-	}
-	for i := int64(0); i < nKeys && wr.err == nil; i++ {
-		key, err := decodeSyncKey(wr)
-		if err != nil {
-			return nil, err
-		}
-		n := wr.next()
-		if n < 0 || n > wr.remaining() {
-			return nil, fmt.Errorf("replay: corrupt order log (record count %d, %d words remain)", n, wr.remaining())
-		}
-		recs := make([]OrderRec, 0, n)
-		for j := int64(0); j < n && wr.err == nil; j++ {
-			rec, err := decodeOrderRec(wr)
-			if err != nil {
-				return nil, err
-			}
-			recs = append(recs, rec)
-		}
-		out[key] = recs
-	}
-	if wr.err != nil {
-		return nil, fmt.Errorf("replay: corrupt order log: %w", wr.err)
-	}
-	if wr.r.Len() != 0 {
-		return nil, fmt.Errorf("replay: corrupt order log (%d trailing bytes)", wr.r.Len())
-	}
-	return out, nil
-}
-
 func decodeSyncKey(wr *wordReader) (vm.SyncKey, error) {
 	class := wr.next()
 	if class < 0 || class > int64(vm.SyncSpawn) {
@@ -406,7 +324,7 @@ type StreamRecord struct {
 // LogCursor incrementally decodes a chunked log from r: one chunk is
 // buffered (and CRC-verified) at a time, and Next yields records until the
 // end marker. It is the io.Reader replay cursor underneath ReadLog and
-// StreamReplayer.
+// NewStreamReplayer.
 type LogCursor struct {
 	r       io.Reader
 	started bool

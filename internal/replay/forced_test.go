@@ -147,16 +147,17 @@ func TestForcedPreemptionViaCore(t *testing.T) {
 	tbl := weaklock.NewTable()
 	tbl.Add(weaklock.KindInstr, "t", false)
 
+	ip := &core.Instrumented{Prog: prog, Table: tbl}
 	world := oskit.NewWorld(1)
-	recRes, log := core.RecordProgram(prog, tbl, core.RunConfig{
+	recRes, log, _ := ip.RecordTo(core.RunConfig{
 		World: world, Seed: 3, Table: tbl, MaxSteps: 50_000_000,
-	})
+	}, nil)
 	// Shorten the timeout via a direct record when the default did not
 	// trigger one.
 	if recRes.Err != nil {
 		t.Fatalf("record: %v", recRes.Err)
 	}
-	repRes, err := core.ReplayProgram(prog, tbl, log, core.RunConfig{
+	repRes, err := ip.Replay(log, core.RunConfig{
 		World: oskit.NewWorld(1), Seed: 31337, Table: tbl,
 	})
 	if err != nil {

@@ -2,6 +2,7 @@ package replay
 
 import (
 	"bytes"
+	"io"
 	"testing"
 
 	"repro/internal/minic/parser"
@@ -67,49 +68,93 @@ func seedVariants(f *testing.F, data []byte) {
 	}
 }
 
-// FuzzDecodeInput checks the input-log decoder never panics and never
-// accepts bytes it cannot canonically round-trip.
+// payloads returns l's input and order records as raw chunk payloads, in
+// the order Log.WriteTo streams them.
+func payloads(l *Log) (in, ord []byte) {
+	lw := NewLogWriter(io.Discard)
+	for _, tid := range l.sortedInputTids() {
+		for _, rec := range l.Inputs[tid] {
+			lw.Input(tid, rec)
+		}
+	}
+	for _, key := range l.sortedOrderKeys() {
+		for _, rec := range l.Orders[key] {
+			lw.Order(key, rec)
+		}
+	}
+	return lw.inBuf.Bytes(), lw.ordBuf.Bytes()
+}
+
+// chunkStream wraps payload, cut to whole words, in one CRC-valid input
+// or order chunk between the magic and the end marker, so decoding gets
+// past the container checks to the record validation behind them.
+func chunkStream(order bool, payload []byte) []byte {
+	var buf bytes.Buffer
+	lw := NewLogWriter(&buf)
+	pending := &lw.inBuf
+	if order {
+		pending = &lw.ordBuf
+	}
+	pending.Write(payload[:len(payload)&^7])
+	lw.Close()
+	return buf.Bytes()
+}
+
+// checkChunkPayload wraps payload in one CRC-valid input or order chunk:
+// ReadLog and NewStreamReplayer must never panic, must agree on what they
+// accept, and every accepted log must round-trip through WriteTo.
+func checkChunkPayload(t *testing.T, order bool, payload []byte) {
+	t.Helper()
+	data := chunkStream(order, payload)
+	l, err := ReadLog(bytes.NewReader(data))
+	if _, serr := NewStreamReplayer(bytes.NewReader(data), vm.CostModel{}); (serr == nil) != (err == nil) {
+		t.Fatalf("ReadLog error %v, NewStreamReplayer error %v", err, serr)
+	}
+	if err != nil {
+		return
+	}
+	var buf bytes.Buffer
+	if _, err := l.WriteTo(&buf); err != nil {
+		t.Fatalf("accepted log failed to re-encode: %v", err)
+	}
+	l2, err := ReadLog(&buf)
+	if err != nil {
+		t.Fatalf("re-encoded log failed to decode: %v", err)
+	}
+	if !logsEqual(l, l2) {
+		t.Fatalf("chunk payload round-trip mismatch")
+	}
+}
+
+// FuzzDecodeInput fuzzes the input record decoder behind the CRC, which
+// is what guards uploaded logs (see checkChunkPayload).
 func FuzzDecodeInput(f *testing.F) {
-	seedVariants(f, realLog(f).InputBytes())
-	seedVariants(f, sampleLog().InputBytes())
-	f.Add(words(0))
-	f.Add(words(1, 0, 1, 1, 2, 20)) // the dn-bounds regression shape
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeInput(data)
-		if err != nil {
-			return
-		}
-		a := &Log{Inputs: m, Orders: map[vm.SyncKey][]OrderRec{}}
-		m2, err := DecodeInput(a.InputBytes())
-		if err != nil {
-			t.Fatalf("accepted input log failed to round-trip: %v", err)
-		}
-		b := &Log{Inputs: m2, Orders: map[vm.SyncKey][]OrderRec{}}
-		if !logsEqual(a, b) {
-			t.Fatalf("input log round-trip mismatch")
-		}
+	realIn, _ := payloads(realLog(f))
+	sampleIn, _ := payloads(sampleLog())
+	seedVariants(f, realIn)
+	seedVariants(f, sampleIn)
+	f.Add([]byte{})
+	f.Add(words(0, 1, 2, 20)) // the dn-bounds regression shape
+	for _, c := range invalidInputPayloads {
+		f.Add(c.payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkChunkPayload(t, false, payload)
 	})
 }
 
-// FuzzDecodeOrder is the order-log counterpart of FuzzDecodeInput.
+// FuzzDecodeOrder is the order-record counterpart of FuzzDecodeInput.
 func FuzzDecodeOrder(f *testing.F) {
-	seedVariants(f, realLog(f).OrderBytes())
-	seedVariants(f, sampleLog().OrderBytes())
-	f.Add(words(0))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeOrder(data)
-		if err != nil {
-			return
-		}
-		a := &Log{Inputs: map[int][]InputRec{}, Orders: m}
-		m2, err := DecodeOrder(a.OrderBytes())
-		if err != nil {
-			t.Fatalf("accepted order log failed to round-trip: %v", err)
-		}
-		b := &Log{Inputs: map[int][]InputRec{}, Orders: m2}
-		if !logsEqual(a, b) {
-			t.Fatalf("order log round-trip mismatch")
-		}
+	_, realOrd := payloads(realLog(f))
+	_, sampleOrd := payloads(sampleLog())
+	seedVariants(f, realOrd)
+	seedVariants(f, sampleOrd)
+	f.Add([]byte{})
+	for _, c := range invalidOrderPayloads {
+		f.Add(c.payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		checkChunkPayload(t, true, payload)
 	})
 }
 

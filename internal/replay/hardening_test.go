@@ -16,60 +16,70 @@ func words(vs ...int64) []byte {
 	return buf.Bytes()
 }
 
-// TestDecodeInputBoundsRegression pins the fix for the dn bounds check:
-// a data length can be well under len(data) *bytes* yet exceed the words
-// actually remaining, which previously passed validation and failed only
-// after over-allocating. All such inputs must now fail cleanly up front.
-func TestDecodeInputBoundsRegression(t *testing.T) {
-	// 1 tid group, tid 0, 1 record: op=1 val=2 dn=20 — but zero words
-	// remain. 20 < len(data)=48 passed the old check.
-	bad := words(1, 0, 1, 1, 2, 20)
-	if _, err := DecodeInput(bad); err == nil {
-		t.Fatalf("dn beyond remaining words must be rejected")
-	}
+// namedPayload is a chunk payload holding records no well-formed log
+// contains. Wrapped in a CRC-valid chunk (chunkStream) it reaches the
+// record validation that guards uploaded logs.
+type namedPayload struct {
+	name    string
+	payload []byte
+}
 
-	// Boundary: dn exactly equal to the remaining words is valid.
-	good := words(1, 0, 1, 1, 2, 2, 11, 22)
-	m, err := DecodeInput(good)
-	if err != nil {
-		t.Fatalf("dn == remaining words must decode: %v", err)
-	}
-	if got := m[0][0].Data; len(got) != 2 || got[0] != 11 || got[1] != 22 {
-		t.Fatalf("boundary decode wrong: %v", got)
-	}
+var invalidInputPayloads = []namedPayload{
+	// A data length can be well under the chunk's byte length yet exceed
+	// the words actually remaining.
+	{"data length beyond remaining words", words(0, 1, 2, 20)},
+	{"negative data length", words(0, 1, 2, -3)},
+	{"truncated input record", words(0, 1, 2)},
+}
 
-	// Negative and absurd counts at every level fail rather than allocate.
-	for _, data := range [][]byte{
-		words(-1),
-		words(1, 0, -5),
-		words(1 << 40),
-		words(1, 0, 1, 1, 2, -3),
-	} {
-		if _, err := DecodeInput(data); err == nil {
-			t.Fatalf("corrupt count must be rejected: %v", data)
-		}
-	}
+var invalidOrderPayloads = []namedPayload{
+	{"bad sync class", words(99, 0, 0)},
+	{"hook-only kind", words(int64(vm.SyncMutex), 7, int64(vm.EvJoin))},
+	// Found by fuzzing: an oversized tid silently truncated (possibly to
+	// a negative value) instead of failing.
+	{"tid beyond int32", words(0, 0x3030303030303030, 0x3030303030303001)},
+	{"truncated forced anchor", words(int64(vm.SyncWeakLock), 5, 1<<8|int64(vm.EvWLForcedRelease), 12345)},
+}
 
-	// Trailing garbage after a well-formed log is corruption, not padding.
-	if _, err := DecodeInput(append(words(0), 0xde)); err == nil {
-		t.Fatalf("trailing bytes must be rejected")
+// requireRejected checks that ReadLog and NewStreamReplayer both reject
+// every payload, each wrapped in one CRC-valid input or order chunk.
+func requireRejected(t *testing.T, order bool, cases []namedPayload) {
+	t.Helper()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			data := chunkStream(order, c.payload)
+			if _, err := ReadLog(bytes.NewReader(data)); err == nil {
+				t.Errorf("ReadLog accepted it")
+			}
+			if _, err := NewStreamReplayer(bytes.NewReader(data), vm.CostModel{}); err == nil {
+				t.Errorf("NewStreamReplayer accepted it")
+			}
+		})
 	}
 }
 
-// TestDecodeOrderValidation checks record-level validation of the order
-// stream: unknown sync classes and hook-only event kinds never decode.
-func TestDecodeOrderValidation(t *testing.T) {
-	for _, data := range [][]byte{
-		words(1, 99, 0, 0), // bad class
-		words(1, int64(vm.SyncMutex), 7, 1, int64(vm.EvJoin)), // hook-only kind
-		words(1, int64(vm.SyncMutex), 7, 3, 0, 0),             // count > remaining
-		words(1, int64(vm.SyncMutex), 7, -1),                  // negative count
-		append(words(1, int64(vm.SyncMutex), 7, 1, 0), 1, 2),  // trailing bytes
-	} {
-		if _, err := DecodeOrder(data); err == nil {
-			t.Fatalf("corrupt order log must be rejected: %v", data)
-		}
+// TestDecodeInputBoundsRegression pins the dn bounds check of the input
+// record decoder behind a valid CRC: a data length can be well under the
+// chunk's byte length yet exceed the words actually remaining, and such
+// records, like negative lengths and truncated records, must fail cleanly
+// up front. A data length exactly filling the chunk still decodes.
+func TestDecodeInputBoundsRegression(t *testing.T) {
+	requireRejected(t, false, invalidInputPayloads)
+
+	l, err := ReadLog(bytes.NewReader(chunkStream(false, words(0, 1, 2, 2, 11, 22))))
+	if err != nil {
+		t.Fatalf("data length == remaining words must decode: %v", err)
 	}
+	if got := l.Inputs[0][0].Data; len(got) != 2 || got[0] != 11 || got[1] != 22 {
+		t.Fatalf("boundary decode wrong: %v", got)
+	}
+}
+
+// TestDecodeOrderValidation checks record-level validation of order
+// chunks behind a valid CRC: unknown sync classes, hook-only event kinds,
+// oversized tids and truncated records never decode.
+func TestDecodeOrderValidation(t *testing.T) {
+	requireRejected(t, true, invalidOrderPayloads)
 }
 
 // TestLogWriterCounters checks the per-stream compressed byte attribution:

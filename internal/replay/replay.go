@@ -17,6 +17,7 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"sort"
 
 	"repro/internal/minic/types"
@@ -274,14 +275,23 @@ func (r *Recorder) NextForced(tid int) (vm.SyncKey, vm.ForcedAnchor, bool) {
 // inputs are fed from the log with no device wait (paper §7.2: network
 // applications "replay much faster as we feed the recorded input directly"),
 // and sync operations are gated to their recorded order.
+//
+// It consumes per-thread input queues and per-key order queues.
+// NewReplayer fills them straight from an in-memory Log; NewStreamReplayer
+// pulls them lazily from a chunked log stream, so memory is bounded by how
+// far the replayed schedule runs ahead of the stream order, not by the
+// recording's length.
 type Replayer struct {
-	log      *Log
-	cost     vm.CostModel
-	inputPos map[int]int
-	orderPos map[vm.SyncKey]int
+	cur  *LogCursor // nil when replaying an in-memory Log
+	cost vm.CostModel
+	// Queues are held by pointer so each hot method looks its queue up
+	// once and consumes a record by reslicing, with no map write.
+	inputQ map[int]*[]InputRec
+	orderQ map[vm.SyncKey]*[]OrderRec
 
 	// forced holds each thread's scheduled preemptions in order.
 	forced map[int][]forcedRec
+	eof    bool
 	err    error
 }
 
@@ -290,68 +300,150 @@ type forcedRec struct {
 	anchor vm.ForcedAnchor
 }
 
-// NewReplayer returns a replayer over a recording.
-func NewReplayer(log *Log, cost vm.CostModel) *Replayer {
+func newReplayer(cost vm.CostModel) *Replayer {
 	if cost == (vm.CostModel{}) {
 		cost = vm.DefaultCost()
 	}
-	r := &Replayer{
-		log:      log,
-		cost:     cost,
-		inputPos: make(map[int]int),
-		orderPos: make(map[vm.SyncKey]int),
-		forced:   make(map[int][]forcedRec),
+	return &Replayer{
+		cost:   cost,
+		inputQ: make(map[int]*[]InputRec),
+		orderQ: make(map[vm.SyncKey]*[]OrderRec),
+		forced: make(map[int][]forcedRec),
 	}
-	// Index the forced preemptions per thread, in key-scan order; within a
-	// thread the anchors give the true order, and a thread executes them
-	// one at a time, so sort by anchor.
+}
+
+// NewReplayer returns a replayer over an in-memory recording. Its queues
+// share the log's slices and never write to them, so one Log can back any
+// number of concurrent replays.
+func NewReplayer(log *Log, cost vm.CostModel) *Replayer {
+	r := newReplayer(cost)
+	r.eof = true
+	for tid, recs := range log.Inputs {
+		q := recs
+		r.inputQ[tid] = &q
+	}
 	for _, key := range log.sortedOrderKeys() {
-		for _, rec := range log.Orders[key] {
-			if rec.Kind == vm.EvWLForcedRelease {
-				r.forced[int(rec.Tid)] = append(r.forced[int(rec.Tid)],
-					forcedRec{key: key, anchor: rec.Anchor})
-			}
+		q := log.Orders[key]
+		r.orderQ[key] = &q
+		for _, rec := range q {
+			r.schedule(key, rec)
 		}
 	}
-	for tid := range r.forced {
-		recs := r.forced[tid]
+	r.sortForced()
+	return r
+}
+
+// NewStreamReplayer returns a replayer over a chunked log stream.
+// Construction prescans the stream once for forced weak-lock preemptions —
+// the VM needs each thread's next preemption anchor up front (NextForced),
+// which no finite lookahead bounds — then seeks back and decodes
+// incrementally, verifying each chunk's CRC before trusting its records.
+func NewStreamReplayer(rs io.ReadSeeker, cost vm.CostModel) (*Replayer, error) {
+	r := newReplayer(cost)
+	pre := NewLogCursor(rs)
+	for {
+		rec, err := pre.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return nil, err
+		}
+		if !rec.IsInput {
+			r.schedule(rec.Key, rec.Order)
+		}
+	}
+	r.sortForced()
+	if _, err := rs.Seek(0, io.SeekStart); err != nil {
+		return nil, fmt.Errorf("replay: rewind after forced-preemption prescan: %w", err)
+	}
+	r.cur = NewLogCursor(rs)
+	return r, nil
+}
+
+// schedule adds rec to its thread's preemption schedule if it is a forced
+// weak-lock release.
+func (r *Replayer) schedule(key vm.SyncKey, rec OrderRec) {
+	if rec.Kind == vm.EvWLForcedRelease {
+		r.forced[int(rec.Tid)] = append(r.forced[int(rec.Tid)], forcedRec{key: key, anchor: rec.Anchor})
+	}
+}
+
+// sortForced puts each thread's schedule in anchor order: a thread
+// executes its preemptions one at a time, so within a thread the anchors
+// give the true order.
+func (r *Replayer) sortForced() {
+	for _, recs := range r.forced {
 		sort.Slice(recs, func(i, j int) bool {
 			if recs[i].anchor.Instr != recs[j].anchor.Instr {
 				return recs[i].anchor.Instr < recs[j].anchor.Instr
 			}
 			return recs[i].anchor.Sync < recs[j].anchor.Sync
 		})
-		r.forced[tid] = recs
 	}
-	return r
 }
 
-// CommitForced implements vm.PreemptionMonitor: consume the head forced
-// record on the key and the thread's schedule.
-func (r *Replayer) CommitForced(key vm.SyncKey, tid int, anchor vm.ForcedAnchor, now int64) int64 {
-	pos := r.orderPos[key]
-	recs := r.log.Orders[key]
-	if pos >= len(recs) || recs[pos].Kind != vm.EvWLForcedRelease || recs[pos].Tid != int32(tid) {
-		r.diverge("forced preemption on %s by thread %d not next in the log", key, tid)
-		return r.cost.ReplayGate
+// pull decodes one more stream record into its queue; false at the end of
+// the stream, on a corrupt stream (recorded in err), and always for an
+// in-memory Log.
+func (r *Replayer) pull() bool {
+	if r.eof || r.err != nil {
+		return false
 	}
-	r.orderPos[key] = pos + 1
-	if q := r.forced[tid]; len(q) > 0 {
-		r.forced[tid] = q[1:]
+	rec, err := r.cur.Next()
+	if err == io.EOF {
+		r.eof = true
+		return false
 	}
-	return r.cost.ReplayGate
+	if err != nil {
+		r.err = err
+		return false
+	}
+	if rec.IsInput {
+		q := r.inputQ[rec.Tid]
+		if q == nil {
+			q = new([]InputRec)
+			r.inputQ[rec.Tid] = q
+		}
+		*q = append(*q, rec.Input)
+	} else {
+		q := r.orderQ[rec.Key]
+		if q == nil {
+			q = new([]OrderRec)
+			r.orderQ[rec.Key] = q
+		}
+		*q = append(*q, rec.Order)
+	}
+	return true
 }
 
-// NextForced implements vm.PreemptionMonitor.
-func (r *Replayer) NextForced(tid int) (vm.SyncKey, vm.ForcedAnchor, bool) {
-	q := r.forced[tid]
-	if len(q) == 0 {
-		return vm.SyncKey{}, vm.ForcedAnchor{}, false
+// inputs returns tid's input queue holding at least one record, or nil
+// when the log has no more input for tid.
+func (r *Replayer) inputs(tid int) *[]InputRec {
+	q := r.inputQ[tid]
+	for q == nil || len(*q) == 0 {
+		if !r.pull() {
+			return nil
+		}
+		q = r.inputQ[tid]
 	}
-	return q[0].key, q[0].anchor, true
+	return q
 }
 
-// Err returns the first divergence detected, if any.
+// orders returns key's order queue holding at least one record, or nil
+// when the log has no more records on key.
+func (r *Replayer) orders(key vm.SyncKey) *[]OrderRec {
+	q := r.orderQ[key]
+	for q == nil || len(*q) == 0 {
+		if !r.pull() {
+			return nil
+		}
+		q = r.orderQ[key]
+	}
+	return q
+}
+
+// Err returns the first divergence or stream error detected, if any.
 func (r *Replayer) Err() error { return r.err }
 
 // diverge records a divergence; the VM surfaces it as a run error.
@@ -364,17 +456,22 @@ func (r *Replayer) diverge(format string, args ...any) error {
 
 // Input implements vm.InputProvider.
 func (r *Replayer) Input(tid int, op types.BuiltinOp, args []int64, sendData []int64, now int64) (int64, []int64, int64, int64, error) {
-	pos := r.inputPos[tid]
-	recs := r.log.Inputs[tid]
-	if pos >= len(recs) {
+	q := r.inputs(tid)
+	if q == nil {
 		return 0, nil, now, 0, r.diverge("thread %d performed more input ops than recorded (%s)", tid, types.BuiltinName(op))
 	}
-	rec := recs[pos]
+	rec := (*q)[0]
 	if rec.Op != op {
 		return 0, nil, now, 0, r.diverge("thread %d input op mismatch: got %s, recorded %s",
 			tid, types.BuiltinName(op), types.BuiltinName(rec.Op))
 	}
-	r.inputPos[tid] = pos + 1
+	// A live read or recv returns at most the requested words; a longer
+	// record would overrun the user buffer.
+	if (op == types.BRead || op == types.BRecv) && len(rec.Data) > 0 && int64(len(rec.Data)) > args[2] {
+		return 0, nil, now, 0, r.diverge("thread %d %s record carries %d words for a %d-word request",
+			tid, types.BuiltinName(op), len(rec.Data), args[2])
+	}
+	*q = (*q)[1:]
 	// No device wait: results come straight from the log.
 	return rec.Val, rec.Data, now, r.cost.ReplayGate, nil
 }
@@ -382,37 +479,70 @@ func (r *Replayer) Input(tid int, op types.BuiltinOp, args []int64, sendData []i
 // TryProceed implements vm.SyncMonitor: a thread may proceed only when it
 // is the next recorded actor on the object.
 func (r *Replayer) TryProceed(key vm.SyncKey, kind vm.SyncEventKind, tid int) bool {
-	pos := r.orderPos[key]
-	recs := r.log.Orders[key]
-	if pos >= len(recs) {
+	q := r.orders(key)
+	if q == nil {
 		// More sync ops than recorded: divergence. Refusing forever would
 		// surface as a deadlock; record the real cause.
 		r.diverge("extra %s op on %s by thread %d", kind, key, tid)
 		return false
 	}
-	return recs[pos].Tid == int32(tid)
+	return (*q)[0].Tid == int32(tid)
 }
 
-// Commit implements vm.SyncMonitor: consume the head record.
+// Commit implements vm.SyncMonitor: consume the head record on the key.
 func (r *Replayer) Commit(key vm.SyncKey, kind vm.SyncEventKind, tid int, now int64) int64 {
-	pos := r.orderPos[key]
-	recs := r.log.Orders[key]
-	if pos >= len(recs) || recs[pos].Tid != int32(tid) {
+	q := r.orders(key)
+	if q == nil || (*q)[0].Tid != int32(tid) {
 		r.diverge("commit out of order on %s by thread %d", key, tid)
 		return r.cost.ReplayGate
 	}
-	if recs[pos].Kind != kind {
-		r.diverge("op kind mismatch on %s: got %s, recorded %s", key, kind, recs[pos].Kind)
+	if got := (*q)[0].Kind; got != kind {
+		r.diverge("op kind mismatch on %s: got %s, recorded %s", key, kind, got)
 	}
-	r.orderPos[key] = pos + 1
+	*q = (*q)[1:]
 	return r.cost.ReplayGate
 }
 
-// Drained reports whether the entire order log was consumed (a fully
-// faithful replay consumes everything).
+// CommitForced implements vm.PreemptionMonitor: consume the head forced
+// record on the key and the thread's schedule.
+func (r *Replayer) CommitForced(key vm.SyncKey, tid int, anchor vm.ForcedAnchor, now int64) int64 {
+	q := r.orders(key)
+	if q == nil || (*q)[0].Kind != vm.EvWLForcedRelease || (*q)[0].Tid != int32(tid) {
+		r.diverge("forced preemption on %s by thread %d not next in the log", key, tid)
+		return r.cost.ReplayGate
+	}
+	*q = (*q)[1:]
+	if f := r.forced[tid]; len(f) > 0 {
+		r.forced[tid] = f[1:]
+	}
+	return r.cost.ReplayGate
+}
+
+// NextForced implements vm.PreemptionMonitor.
+func (r *Replayer) NextForced(tid int) (vm.SyncKey, vm.ForcedAnchor, bool) {
+	f := r.forced[tid]
+	if len(f) == 0 {
+		return vm.SyncKey{}, vm.ForcedAnchor{}, false
+	}
+	return f[0].key, f[0].anchor, true
+}
+
+// Drained reports whether every input and order record was consumed (a
+// fully faithful replay consumes everything). A stream is read to its end
+// first, so a corrupt tail is never drained.
 func (r *Replayer) Drained() bool {
-	for k, recs := range r.log.Orders {
-		if r.orderPos[k] != len(recs) {
+	for r.pull() {
+	}
+	if !r.eof {
+		return false
+	}
+	for _, q := range r.inputQ {
+		if len(*q) != 0 {
+			return false
+		}
+	}
+	for _, q := range r.orderQ {
+		if len(*q) != 0 {
 			return false
 		}
 	}

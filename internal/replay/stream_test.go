@@ -11,7 +11,7 @@ import (
 
 // TestStreamRecordAndReplay runs the forced-preemption scenario with a
 // LogWriter attached to the recorder, then replays bit-identically straight
-// from the byte stream with a StreamReplayer — the full streaming path,
+// from the byte stream with NewStreamReplayer — the full streaming path,
 // including the forced-preemption prescan.
 func TestStreamRecordAndReplay(t *testing.T) {
 	p, tbl := forcedSetup(t)

@@ -56,7 +56,7 @@ func FuzzPrecisionSoundness(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: instrument: %v", v.name, err)
 			}
-			recRes, log := ip.Record(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ip.Table})
+			recRes, log, _ := ip.RecordTo(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ip.Table}, nil)
 			if recRes.Err != nil {
 				t.Fatalf("%s: record: %v (repro: racecheck -gen '%s')", v.name, recRes.Err, spec)
 			}

@@ -162,7 +162,7 @@ func RunPipeline(spec Spec) *Result {
 	}
 	res.pass("certify")
 
-	recRes, log := ip.Record(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ip.Table})
+	recRes, log, _ := ip.RecordTo(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ip.Table}, nil)
 	if recRes.Err != nil {
 		return res.fail("record", recRes.Err)
 	}
@@ -229,7 +229,7 @@ func RunPipeline(spec Spec) *Result {
 	if !pcert.OK {
 		return res.fail("precision", fmt.Errorf("certificate not clean: %s", pcert.Summary()))
 	}
-	precRec, precLog := ipp.Record(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ipp.Table})
+	precRec, precLog, _ := ipp.RecordTo(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ipp.Table}, nil)
 	if precRec.Err != nil {
 		return res.fail("precision", precRec.Err)
 	}

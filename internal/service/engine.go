@@ -15,11 +15,14 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/instrument"
 	"repro/internal/obs"
 	"repro/internal/oskit"
 	"repro/internal/pool"
+	"repro/internal/replay"
 	"repro/internal/scenario"
 	"repro/internal/summary"
+	"repro/internal/vm"
 )
 
 // EngineConfig sizes an Engine. Zero values select the defaults noted.
@@ -589,15 +592,11 @@ func (e *Engine) instrumentFor(tenant, name, source, config string, useMHP bool)
 	if err != nil {
 		return nil, err
 	}
-	rep := prog.Races
-	if useMHP {
-		rep = prog.RefinedRaces()
-	}
-	opts, ok := optionsFor(config)
+	opts, ok := instrument.OptionsFor(config)
 	if !ok {
 		return nil, fmt.Errorf("unknown config %q", config)
 	}
-	return prog.InstrumentWith(rep, nil, opts)
+	return prog.InstrumentWith(prog.Report(useMHP, false), nil, opts)
 }
 
 // execRecord instruments the program and records one execution, with the
@@ -645,8 +644,8 @@ func (e *Engine) execRecord(job *Job, spec *JobSpec) *JobResult {
 }
 
 // execReplayVerify replays a CHIMLOG2 stream against the instrumented
-// program straight from disk (replay.StreamReplayer — bounded memory)
-// and verifies the replay: it must run clean, fully drain the order log,
+// program straight from disk (replay.NewStreamReplayer — bounded memory)
+// and verifies the replay: it must run clean, fully drain the log,
 // and, when the log came from a record job, bit-match that job's output
 // hash.
 func (e *Engine) execReplayVerify(job *Job, spec *JobSpec) *JobResult {
@@ -687,7 +686,13 @@ func (e *Engine) execReplayVerify(job *Job, spec *JobSpec) *JobResult {
 	cr := &countReader{r: f}
 	// The replay seed deliberately differs from any recording seed:
 	// determinism must come from the log alone.
-	res, rerr := core.ReplayProgramStream(ip.Prog, ip.Table, cr, core.RunConfig{World: oskit.NewWorld(977), Seed: 977})
+	var res *vm.Result
+	rep, rerr := replay.NewStreamReplayer(cr, vm.CostModel{})
+	if rerr != nil {
+		rerr = fmt.Errorf("open log stream: %w", rerr)
+	} else {
+		res, rerr = core.Replay(ip.Prog, ip.Table, rep, core.RunConfig{World: oskit.NewWorld(977), Seed: 977})
+	}
 	rp.SetAttr("spool_bytes", cr.n)
 	e.tel.AddSpoolBytes(0, cr.n)
 

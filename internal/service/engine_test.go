@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/oskit"
 	"repro/internal/pool"
 )
 
@@ -141,6 +143,63 @@ func TestEngineReplayVerifyUpload(t *testing.T) {
 	}
 	if _, err := e.AttachLog("j000000-missing00000", bytes.NewReader(nil)); !errors.Is(err, ErrUnknownJob) {
 		t.Errorf("unknown job upload: %v, want ErrUnknownJob", err)
+	}
+}
+
+// oversizedReadSrc reads one word into a one-word buffer that sits right
+// before guard.
+const oversizedReadSrc = `int buf[1];
+int guard;
+int main(void) {
+    guard = 7;
+    int fd = open(5);
+    int n = read(fd, buf, 1);
+    print(n);
+    print(buf[0]);
+    print(guard);
+    return 0;
+}
+`
+
+// TestEngineReplayVerifyOversizedRead uploads a log whose read record
+// carries one word more than the read asked for. An uploaded log has no
+// recorded hash to compare against, so the replayer itself must catch the
+// record before it overwrites guard.
+func TestEngineReplayVerifyOversizedRead(t *testing.T) {
+	e := newTestEngine(t)
+	defer e.Drain(time.Minute)
+
+	ip, err := e.instrumentFor("acme", "oversized", oversizedReadSrc, "all", false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := oskit.NewWorld(1)
+	w.AddFile(5, []int64{5, 6})
+	res, log, _ := ip.RecordTo(core.RunConfig{World: w, Seed: 1}, nil)
+	if res.Err != nil {
+		t.Fatalf("record: %v", res.Err)
+	}
+	read := &log.Inputs[0][1]
+	read.Data = append(read.Data, 99)
+	var tampered bytes.Buffer
+	if _, err := log.WriteTo(&tampered); err != nil {
+		t.Fatal(err)
+	}
+
+	job, err := e.Submit(&JobSpec{Kind: JobReplayVerify, Tenant: "acme", Name: "oversized", Source: oversizedReadSrc, LogUpload: true})
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	if _, err := e.AttachLog(job.ID(), &tampered); err != nil {
+		t.Fatalf("AttachLog: %v", err)
+	}
+	v := await(t, job)
+	r := v.Result
+	if r == nil || r.ReplayMatches == nil || *r.ReplayMatches || r.ExitCode != ExitFailure {
+		t.Fatalf("tampered upload: %+v (error %q), want replay_matches false and exit %d", r, v.Error, ExitFailure)
+	}
+	if want := "read record carries 2 words for a 1-word request"; !strings.Contains(r.Stderr, want) {
+		t.Errorf("stderr %q lacks %q", r.Stderr, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/instrument"
 	"repro/internal/obs"
 )
 
@@ -111,7 +112,7 @@ func (s *JobSpec) Validate() error {
 		if s.Source == "" {
 			return fmt.Errorf("record job needs inline source")
 		}
-		if _, ok := optionsFor(s.config()); !ok {
+		if _, ok := instrument.OptionsFor(s.config()); !ok {
 			return fmt.Errorf("record job: unknown config %q", s.config())
 		}
 	case JobReplayVerify:
@@ -124,7 +125,7 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("replay-verify job with log_upload needs inline source")
 		}
 		if s.Source != "" {
-			if _, ok := optionsFor(s.config()); !ok {
+			if _, ok := instrument.OptionsFor(s.config()); !ok {
 				return fmt.Errorf("replay-verify job: unknown config %q", s.config())
 			}
 		}

@@ -52,23 +52,6 @@ func (env *Env) loadProgram(name, src string, o core.LoadOptions) (*core.Program
 	return core.LoadWith(name, src, o)
 }
 
-// optionsFor maps a configuration name (without the "+mhp" suffix) to
-// instrumenter options; it mirrors the bench harness's configuration
-// vocabulary.
-func optionsFor(name string) (instrument.Options, bool) {
-	switch name {
-	case "instr":
-		return instrument.NaiveOptions(), true
-	case "instr+func":
-		return instrument.Options{FuncLocks: true}, true
-	case "instr+loop":
-		return instrument.Options{LoopLocks: true, LoopBodyThreshold: 14}, true
-	case "all":
-		return instrument.AllOptions(), true
-	}
-	return instrument.Options{}, false
-}
-
 // RunRequest executes one racecheck request and returns its process
 // exit code. It is the entire verdict-producing pipeline behind both the
 // offline CLI (env == nil) and the chimerad job engine (env carries the
@@ -133,7 +116,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		return runDynamic(name, prog, oskit.NewWorld(req.Seed), req.Seed, req.Checker, out, errOut)
 	}
 
-	opts, okConfig := optionsFor(req.Config)
+	opts, okConfig := instrument.OptionsFor(req.Config)
 	if req.Certify && !okConfig {
 		fmt.Fprintf(errOut, "racecheck: unknown -config %q\n", req.Config)
 		return ExitUsage
@@ -208,12 +191,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 	if req.Precision {
 		sp = req.Tracer.Start("precision-refine")
 		prior := len(rep.Pruned)
-		var refined *relay.Report
-		if req.MHP {
-			refined = prog.PrecisionRaces()
-		} else {
-			refined = prog.PrecisionRacesBase()
-		}
+		refined := prog.Report(req.MHP, true)
 		sp.SetAttr("kept", int64(len(refined.Pairs))).End()
 		fmt.Fprintf(out, "%s: precision kept %d, discharged %d\n",
 			req.Args[0], len(refined.Pairs), len(refined.Pruned)-prior)
@@ -361,10 +339,7 @@ func runBatch(dir string, workers int, useMHP, showStats bool, out, errOut io.Wr
 			status = ExitFailure
 			continue
 		}
-		rep := prog.Races
-		if useMHP {
-			rep = prog.RefinedRaces()
-		}
+		rep := prog.Report(useMHP, false)
 		line := fmt.Sprintf("%s: %d race pair(s)", path, len(rep.Pairs))
 		if st := prog.Incremental; st != nil {
 			line += fmt.Sprintf(" [summaries: %d/%d reused]", st.ReusedFuncs, st.TotalFuncs)
@@ -403,7 +378,7 @@ func runObserved(req *Request, out, errOut io.Writer) int {
 		fmt.Fprintf(errOut, "racecheck: -trace/-metrics support -checker epoch or vector, not %q\n", checker)
 		return ExitUsage
 	}
-	if _, ok := optionsFor(config); !ok {
+	if _, ok := instrument.OptionsFor(config); !ok {
 		fmt.Fprintf(errOut, "racecheck: unknown -config %q\n", config)
 		return ExitUsage
 	}
@@ -651,15 +626,7 @@ func runBench(env *Env, name, label string, opts instrument.Options, useMHP, use
 			fmt.Fprintf(errOut, "racecheck: %s: %v\n", b.Name, err)
 			return ExitFailure
 		}
-		rep := prog.Races
-		switch {
-		case useMHP && usePrecision:
-			rep = prog.PrecisionRaces()
-		case usePrecision:
-			rep = prog.PrecisionRacesBase()
-		case useMHP:
-			rep = prog.RefinedRaces()
-		}
+		rep := prog.Report(useMHP, usePrecision)
 		conc := prog.ProfileNonConcurrency(b.ProfileWorld, b.ProfileRuns, 10_000)
 		ip, err := prog.InstrumentWith(rep, conc, opts)
 		if err != nil {

@@ -25,9 +25,10 @@
 //     key collisions are impossible while within-tenant resubmissions
 //     reuse every artifact; hit/partial/miss ratios are accounted per
 //     tenant. Record jobs stream CHIMLOG2 to a disk spool as records
-//     commit; replay-verify jobs replay straight from the spool with
-//     replay.StreamReplayer — neither holds a whole log in memory at the
-//     job layer.
+//     commit (the recorder still builds the in-memory Log alongside);
+//     replay-verify jobs replay straight from the spool through
+//     replay.NewStreamReplayer, so a replay never holds a whole log in
+//     memory.
 //
 //   - The transport layer (Server, Client): a small HTTP API
 //     (cmd/chimerad) for submitting jobs, polling or long-polling

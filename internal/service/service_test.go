@@ -184,6 +184,7 @@ func TestJobSpecHashAndValidate(t *testing.T) {
 		{Kind: JobAnalyze, Request: &Request{Args: []string{"local.mc"}}}, // path without inline source
 		{Kind: JobRecord},
 		{Kind: JobRecord, Source: racySrc, Config: "nope"},
+		{Kind: JobRecord, Source: racySrc, Config: "all+mhp"}, // MHP is the mhp field, not a config
 		{Kind: JobReplayVerify},
 		{Kind: JobReplayVerify, LogJob: "j1", LogUpload: true},
 		{Kind: JobReplayVerify, LogUpload: true}, // upload without source
