@@ -16,6 +16,7 @@
 package main
 
 import (
+	"bytes"
 	"flag"
 	"fmt"
 	"os"
@@ -83,22 +84,17 @@ func main() {
 			counts[weaklock.KindBB], counts[weaklock.KindInstr])
 
 	case "record":
-		res, log, _ := ip.RecordTo(core.RunConfig{World: world(), Seed: *seed, Table: ip.Table}, nil)
+		var stream bytes.Buffer
+		res, log, lw := ip.RecordTo(core.RunConfig{World: world(), Seed: *seed, Table: ip.Table}, &stream)
 		if res.Err != nil {
 			fatal(res.Err)
 		}
+		st := lw.Stats()
 		fmt.Printf("exit=%d makespan=%d output=%q\n", res.ExitCode, res.Makespan, res.Output)
 		fmt.Printf("logs: %d input records, %d order records (gzip %0.1f + %0.1f KB)\n",
-			log.InputCount(), log.OrderCount(), log.InputLogKB(), log.OrderLogKB())
+			log.InputCount(), log.OrderCount(), float64(st.InputBytes)/1024, float64(st.OrderBytes)/1024)
 		if *logPath != "" {
-			f, err := os.Create(*logPath)
-			if err != nil {
-				fatal(err)
-			}
-			if _, err := log.WriteTo(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
+			if err := os.WriteFile(*logPath, stream.Bytes(), 0o644); err != nil {
 				fatal(err)
 			}
 			fmt.Printf("recording written to %s\n", *logPath)

@@ -25,6 +25,9 @@ import (
 	"repro/internal/oskit"
 )
 
+// DefaultWorkers is the evaluation world's worker count in Table 2.
+const DefaultWorkers = 4
+
 // Benchmark is one evaluation program and its environments.
 type Benchmark struct {
 	Name  string

@@ -19,10 +19,10 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
@@ -32,7 +32,6 @@ import (
 	"repro/internal/pool"
 	"repro/internal/profile"
 	"repro/internal/relay"
-	"repro/internal/trace"
 	"repro/internal/vm"
 	"repro/internal/weaklock"
 )
@@ -77,7 +76,7 @@ type Config struct {
 // Default returns the Table 2 configuration: 4 worker threads, sequential
 // harness.
 func Default() Config {
-	return Config{Workers: 4, Seed: 1234, ReplaySeed: 987654, Parallel: 1}
+	return Config{Workers: bench.DefaultWorkers, Seed: core.DefaultSeed, ReplaySeed: core.DefaultReplaySeed, Parallel: 1}
 }
 
 // Prepared caches everything derivable from one benchmark independent of
@@ -259,7 +258,8 @@ type Measurement struct {
 	LogCycles  [weaklock.NumKinds]int64
 	Contention [weaklock.NumKinds]int64
 
-	// Compressed log sizes in KB (Table 2 right columns).
+	// Compressed log sizes in KB (Table 2 right columns): the recording's
+	// per-stream CHIMLOG2 wire bytes, from its LogWriter.
 	InputLogKB float64
 	OrderLogKB float64
 
@@ -269,19 +269,22 @@ type Measurement struct {
 	RecordLogBytes int64
 	OrderLogBytes  int64
 
-	// Real wall-clock nanoseconds of the dynamic phases. Unlike the
-	// simulated makespans (and every ratio derived from them) these vary
-	// run to run and machine to machine; EXPERIMENTS.md documents the
-	// methodology.
+	// Real wall-clock nanoseconds of the dynamic phases. The replay's
+	// includes the drains of the checkers and the event counter riding
+	// it. Unlike the simulated makespans (and every ratio derived from
+	// them) these vary run to run and machine to machine; EXPERIMENTS.md
+	// documents the methodology.
 	RecordWallNS int64
 	ReplayWallNS int64
 
-	// CheckerWallNS is the wall time the epoch race checker spent
-	// consuming the instrumented run's event stream (a separate checked
-	// run); CheckerRaces is its verdict count — 0 for a correctly
-	// instrumented program under the extended synchronization set.
-	// CheckersAgree is true when the full-vector oracle, attached to the
-	// same event stream, reached the identical verdict set.
+	// The race checkers ride the replay (core.RecordAndCheck), which is
+	// gated to the recorded sync order, so they check the execution that
+	// was logged. CheckerWallNS is the wall time the epoch checker spent
+	// draining the replay's event stream; CheckerRaces is its verdict
+	// count — 0 for a correctly instrumented program under the extended
+	// synchronization set. CheckersAgree is true when the replay matched
+	// and the full-vector oracle, attached to the same stream, reached the
+	// identical verdict set; a failed or mismatched replay leaves it false.
 	CheckerWallNS int64
 	CheckerRaces  int
 	CheckersAgree bool
@@ -293,16 +296,17 @@ type Measurement struct {
 	ReplayErr     string
 
 	// Metrics is the observability block exported into the JSON rows:
-	// per-weak-lock-site counters, event-stream stats from the checked
-	// run, and the per-stream log breakdown. Every field is simulated and
+	// per-weak-lock-site counters, event-stream stats from the replay,
+	// and the per-stream log breakdown. Every field is simulated and
 	// deterministic (no wall times).
 	Metrics *obs.RowMetrics
 }
 
-// Measure runs native + record + replay for one benchmark/config at the
-// given worker count. Cells are deterministic, so finished measurements
-// are memoized per (bench, config, workers) unless Cfg.NoCache is set;
-// the memo is safe for concurrent cells.
+// Measure runs native, record, and the replay that carries the race
+// checkers for one benchmark/config at the given worker count. Cells are
+// deterministic, so finished measurements are memoized per (bench,
+// config, workers) unless Cfg.NoCache is set; the memo is safe for
+// concurrent cells.
 func (s *Suite) Measure(p *Prepared, configName string, workers int) (*Measurement, error) {
 	if s.Cfg.NoCache || s.measured == nil {
 		return s.measure(p, configName, workers)
@@ -363,16 +367,16 @@ func (s *Suite) measure(p *Prepared, configName string, workers int) (*Measureme
 	}
 	m.NativeMakespan = native.Makespan
 
-	rcRec := core.RunConfig{World: p.B.EvalWorld(workers), Seed: s.Cfg.Seed, Table: ip.Table, HeapWords: s.Cfg.HeapWords}
-	var cw countWriter
-	recStart := time.Now()
-	recRes, log, lw := ip.RecordTo(rcRec, &cw)
-	m.RecordWallNS = time.Since(recStart).Nanoseconds()
-	if recRes.Err != nil {
-		return nil, fmt.Errorf("%s/%s record: %w", p.B.Name, configName, recRes.Err)
+	c := ip.RecordAndCheck(core.RunConfig{
+		World: p.B.EvalWorld(workers), Seed: s.Cfg.Seed, Table: ip.Table, HeapWords: s.Cfg.HeapWords,
+	}, s.Cfg.ReplaySeed, io.Discard, nil)
+	m.RecordWallNS = c.RecordWallNS
+	if c.RecordErr != nil {
+		return nil, fmt.Errorf("%s/%s record: %w", p.B.Name, configName, c.RecordErr)
 	}
-	m.RecordLogBytes = cw.n
-	m.OrderLogBytes = lw.OrderBytesWritten()
+	recRes, log := c.Record, c.Log
+	m.RecordLogBytes = c.Logs.TotalBytes
+	m.OrderLogBytes = c.Logs.OrderBytes
 	m.RecordMakespan = recRes.Makespan
 	m.RecordOverhead = ratio(recRes.Makespan, native.Makespan)
 	m.Syscalls = log.InputCount()
@@ -382,51 +386,26 @@ func (s *Suite) measure(p *Prepared, configName string, workers int) (*Measureme
 	m.WLOps = recRes.WLStats.TotalOps()
 	m.LogCycles = recRes.WLStats.LogCycles
 	m.Contention = recRes.WLStats.Contention
-	m.InputLogKB = log.InputLogKB()
-	m.OrderLogKB = log.OrderLogKB()
+	m.InputLogKB = float64(c.Logs.InputBytes) / 1024
+	m.OrderLogKB = float64(c.Logs.OrderBytes) / 1024
 	m.Timeouts = recRes.WLStats.Timeouts
 
-	repStart := time.Now()
-	repRes, err := ip.Replay(log, core.RunConfig{
-		World: p.B.EvalWorld(workers), Seed: s.Cfg.ReplaySeed, Table: ip.Table, HeapWords: s.Cfg.HeapWords,
-	})
-	m.ReplayWallNS = time.Since(repStart).Nanoseconds()
-	if err != nil {
-		m.ReplayErr = err.Error()
+	m.ReplayWallNS = c.ReplayWallNS
+	if c.ReplayErr != nil {
+		m.ReplayErr = c.ReplayErr.Error()
 	} else {
-		m.ReplayMakespan = repRes.Makespan
-		m.ReplayOverhead = ratio(repRes.Makespan, native.Makespan)
-		m.ReplayMatches = repRes.Hash64() == recRes.Hash64()
+		m.ReplayMakespan = c.Replay.Makespan
+		m.ReplayOverhead = ratio(c.Replay.Makespan, native.Makespan)
+		m.ReplayMatches = c.Matches
 		if !m.ReplayMatches {
 			m.ReplayErr = "replay hash mismatch"
 		}
 	}
 
-	// A separate checked run: the epoch checker and the full-vector
-	// oracle consume the instrumented program's batched event stream
-	// (pure observers, so the measured record/replay runs above are
-	// untouched). An EventCounter rides the same stream and attributes it
-	// for the metrics block; the two checkers' verdict sets must agree on
-	// every row — CheckersAgree feeds the JSON export the CI gate asserts.
-	chk := trace.NewChecker(0)
-	vchk := trace.NewVectorChecker(0)
-	counter := &obs.EventCounter{}
-	chkRes := core.CheckDynamicRacesWith(ip.Prog, ip.Table, core.RunConfig{
-		World: p.B.EvalWorld(workers), Seed: s.Cfg.Seed, HeapWords: s.Cfg.HeapWords,
-		Sinks: []vm.EventSink{counter},
-	}, chk, vchk)
-	if chkRes.Err != nil {
-		return nil, fmt.Errorf("%s/%s checker run: %w", p.B.Name, configName, chkRes.Err)
-	}
-	m.CheckerWallNS = chk.WallNS()
-	m.CheckerRaces = chk.RaceCount()
-	m.CheckersAgree = trace.SameVerdicts(chk.Races(), vchk.Races())
+	m.CheckerWallNS = c.Epoch.WallNS()
+	m.CheckerRaces = c.Epoch.RaceCount()
+	m.CheckersAgree = c.Agree
 
-	wl := obs.WeakLocksFrom(ip.Table, recRes.WLSites)
-	wl.Timeouts = recRes.WLStats.Timeouts
-	wl.OrderLogEntries = int64(log.OrderCount(vm.SyncWeakLock))
-	wl.AcquireOrderEntries = countAcquireEntries(log)
-	ws := lw.Stats()
 	m.Metrics = &obs.RowMetrics{
 		Schema: obs.Schema,
 		Makespans: obs.Makespans{
@@ -434,30 +413,11 @@ func (s *Suite) measure(p *Prepared, configName string, workers int) (*Measureme
 			Record: recRes.Makespan,
 			Replay: m.ReplayMakespan,
 		},
-		WeakLocks: wl,
-		Events:    counter.Events(chkRes.Counters.EventsEmitted, chkRes.Counters.EventBatches),
-		Log: obs.LogStreams{
-			TotalBytes:    cw.n,
-			InputChunks:   ws.InputChunks,
-			OrderChunks:   ws.OrderChunks,
-			InputRecords:  ws.InputRecords,
-			OrderRecords:  ws.OrderRecords,
-			InputRawBytes: ws.InputRawBytes,
-			OrderRawBytes: ws.OrderRawBytes,
-			InputBytes:    ws.InputBytes,
-			OrderBytes:    ws.OrderBytes,
-		},
+		WeakLocks: c.WeakLocks(),
+		Events:    c.Events,
+		Log:       c.Logs,
 	}
 	return m, nil
-}
-
-// countWriter counts bytes streamed through it (the recording's total
-// on-disk size, without buffering the stream).
-type countWriter struct{ n int64 }
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	c.n += int64(len(p))
-	return len(p), nil
 }
 
 func ratio(a, b int64) float64 {

@@ -33,6 +33,28 @@ func TestSingleBenchmarkPipeline(t *testing.T) {
 	}
 }
 
+// Table 2's compressed log sizes are the CHIMLOG2 writer's per-stream
+// wire bytes of the recording, in KB.
+func TestTable2LogKBFromWriter(t *testing.T) {
+	s, err := NewSuite(Default(), "pbzip2", "fft")
+	if err != nil {
+		t.Fatalf("suite: %v", err)
+	}
+	ms, _, err := s.Table2()
+	if err != nil {
+		t.Fatalf("table 2: %v", err)
+	}
+	for _, m := range ms {
+		in, ord := m.Metrics.Log.InputBytes, m.Metrics.Log.OrderBytes
+		if m.InputLogKB <= 0 || m.OrderLogKB <= 0 {
+			t.Errorf("%s: log sizes %.3f/%.3f KB, want positive", m.Bench, m.InputLogKB, m.OrderLogKB)
+		}
+		if m.InputLogKB != float64(in)/1024 || m.OrderLogKB != float64(ord)/1024 {
+			t.Errorf("%s: %.3f/%.3f KB, writer streams %d/%d bytes", m.Bench, m.InputLogKB, m.OrderLogKB, in, ord)
+		}
+	}
+}
+
 // TestOptimizationOrdering checks the Figure 5 shape on one benchmark:
 // all-opts must beat naive instr by a wide margin.
 func TestOptimizationOrdering(t *testing.T) {

@@ -43,17 +43,19 @@ type JSONEntry struct {
 	OrderLogBytes  int64 `json:"order_log_bytes"`
 
 	// Real wall-clock nanoseconds of the dynamic phases: the recording run
-	// (with the log streaming to a writer), the gated replay run, and the
-	// epoch race checker's share of a separate checked run. Unlike every
-	// simulated metric these vary run to run; see EXPERIMENTS.md.
+	// (with the log streaming to a writer), the gated replay run including
+	// the drains of the checkers riding it, and the epoch race checker's
+	// own share of that replay. Unlike every simulated metric these vary
+	// run to run; see EXPERIMENTS.md.
 	RecordWallNS  int64 `json:"record_wall_ns"`
 	ReplayWallNS  int64 `json:"replay_wall_ns"`
 	CheckerWallNS int64 `json:"checker_wall_ns"`
 
-	// CheckerRaces is the epoch checker's verdict count on the checked
-	// run (0 for a correctly instrumented program); CheckersAgree reports
-	// whether the full-vector oracle on the same event stream reached the
-	// identical verdict set. The scenario soundness gate in CI asserts
+	// CheckerRaces is the epoch checker's verdict count on the replay's
+	// event stream (0 for a correctly instrumented program);
+	// CheckersAgree reports whether the replay matched and the
+	// full-vector oracle on the same stream reached the identical verdict
+	// set. The scenario soundness gate in CI asserts
 	// both.
 	CheckerRaces  int  `json:"checker_races"`
 	CheckersAgree bool `json:"checkers_agree"`

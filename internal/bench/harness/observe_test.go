@@ -4,15 +4,18 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/service"
 )
 
-// maskedReport runs one observed pipeline and returns its metrics report
-// with every wall-clock field zeroed, rendered canonically. Each run gets
-// a fresh cache (ObserveOptions.fill default), so the cache section is
-// pinned at {0 hits, 1 miss} and the whole document is deterministic.
+// maskedReport runs one observed pipeline (service.Observe, which runs
+// the same core.RecordAndCheck stage as a harness cell) and returns its
+// metrics report with every wall-clock field zeroed, rendered
+// canonically. Each run gets a fresh cache (the ObserveOptions default),
+// so the cache section is pinned at {0 hits, 1 miss} and the whole
+// document is deterministic.
 func maskedReport(t *testing.T, name string, parallel int) string {
 	t.Helper()
-	o, err := ObserveBench(name, ObserveOptions{Parallel: parallel})
+	o, err := service.Observe(service.TargetFor(bench.ByName(name)), service.ObserveOptions{Parallel: parallel})
 	if err != nil {
 		t.Fatal(err)
 	}

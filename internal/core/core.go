@@ -168,6 +168,14 @@ func reload(name, src string, tr *obs.Tracer) (*Program, error) {
 	return &Program{Name: name, Source: src, File: file, Info: info, Code: code}, nil
 }
 
+// DefaultSeed and DefaultReplaySeed are the evaluation's schedule seeds
+// (Table 2): recordings run under one and replays under the other, so a
+// replay's determinism has to come from the log.
+const (
+	DefaultSeed       uint64 = 1234
+	DefaultReplaySeed uint64 = 987654
+)
+
 // RunConfig parameterizes one execution of a program.
 type RunConfig struct {
 	World *oskit.World
@@ -464,6 +472,147 @@ func Replay(p *Program, table *weaklock.Table, rep *replay.Replayer, rc RunConfi
 		return r, fmt.Errorf("replay divergence: log not fully consumed")
 	}
 	return r, nil
+}
+
+// Checked is the outcome of RecordAndCheck: one recording, its replay
+// with both race checkers and an event counter on the replay's event
+// stream, and the verdicts.
+type Checked struct {
+	// Record is the recording run; RecordErr is its failure (Record.Err),
+	// in which case nothing was replayed and every later field is zero.
+	// Logs is the LogWriter's accounting of the CHIMLOG2 stream written
+	// to the caller's writer (zero without a writer).
+	Record    *vm.Result
+	RecordErr error
+	Log       *replay.Log
+	Logs      obs.LogStreams
+
+	// Replay is the replay run and ReplayErr its failure; Matches is true
+	// when the replay completed and bit-matched the recording.
+	Replay    *vm.Result
+	ReplayErr error
+	Matches   bool
+
+	// Epoch and Vector consumed the replay's event stream; Agree is true
+	// when the replay matched and their verdict sets are identical (a
+	// partial replay yields no clean verdict). Events counts that stream.
+	Epoch  *trace.EpochChecker
+	Vector *trace.VectorChecker
+	Agree  bool
+	Events *obs.Events
+
+	// Wall-clock nanoseconds of the two runs; the replay's includes the
+	// sinks' drains.
+	RecordWallNS int64
+	ReplayWallNS int64
+
+	table *weaklock.Table
+}
+
+// RecordAndCheck is the dynamic stage of the pipeline. It records the
+// instrumented program under rc, streaming the log to w when w is
+// non-nil, then replays the recording under replaySeed with the epoch
+// checker, the full-vector oracle and an event counter attached, and
+// compares the two runs' Hash64. Replay is gated to the recorded sync
+// order, so the checkers see the happens-before order of the execution
+// that was logged; no third run is needed to feed them.
+//
+// Each stage gets one span on tr (nil turns tracing off): record, replay,
+// and dynamic-check, which only reads the verdicts.
+func (ip *Instrumented) RecordAndCheck(rc RunConfig, replaySeed uint64, w io.Writer, tr *obs.Tracer) *Checked {
+	c := &Checked{table: ip.Table}
+	var cw *countWriter
+	var out io.Writer
+	if w != nil {
+		cw = &countWriter{w: w}
+		out = cw
+	}
+	sp := tr.Start("record")
+	start := time.Now()
+	var lw *replay.LogWriter
+	c.Record, c.Log, lw = ip.RecordTo(rc, out)
+	c.RecordWallNS = time.Since(start).Nanoseconds()
+	if lw != nil {
+		st := lw.Stats()
+		c.Logs = obs.LogStreams{
+			TotalBytes:    cw.n,
+			InputChunks:   st.InputChunks,
+			OrderChunks:   st.OrderChunks,
+			InputRecords:  st.InputRecords,
+			OrderRecords:  st.OrderRecords,
+			InputRawBytes: st.InputRawBytes,
+			OrderRawBytes: st.OrderRawBytes,
+			InputBytes:    st.InputBytes,
+			OrderBytes:    st.OrderBytes,
+		}
+	}
+	if tr != nil {
+		sp.SetAttr("makespan", c.Record.Makespan).
+			SetAttr("input_records", int64(c.Log.InputCount())).
+			SetAttr("order_records", int64(c.Log.OrderCount())).
+			SetAttr("log_bytes", c.Logs.TotalBytes)
+	}
+	sp.End()
+	if c.RecordErr = c.Record.Err; c.RecordErr != nil {
+		return c
+	}
+
+	c.Epoch, c.Vector = trace.NewChecker(0), trace.NewVectorChecker(0)
+	counter := &obs.EventCounter{}
+	rrc := rc
+	rrc.Seed = replaySeed
+	rrc.Sinks = append([]vm.EventSink{counter, c.Epoch, c.Vector}, rc.Sinks...)
+	sp = tr.Start("replay")
+	start = time.Now()
+	c.Replay, c.ReplayErr = ip.Replay(c.Log, rrc)
+	c.ReplayWallNS = time.Since(start).Nanoseconds()
+	c.Matches = c.ReplayErr == nil && c.Replay.Hash64() == c.Record.Hash64()
+	match := int64(0)
+	if c.Matches {
+		match = 1
+	}
+	if c.ReplayErr == nil {
+		sp.SetAttr("makespan", c.Replay.Makespan)
+	}
+	sp.SetAttr("match", match).End()
+
+	sp = tr.Start("dynamic-check")
+	c.Agree = c.Matches && trace.SameVerdicts(c.Epoch.Races(), c.Vector.Races())
+	c.Events = counter.Events(c.Replay.Counters.EventsEmitted, c.Replay.Counters.EventBatches)
+	sp.SetAttr("races", int64(c.Epoch.RaceCount())).
+		SetAttr("events", c.Events.Emitted).End()
+	return c
+}
+
+// WeakLocks is the recording's weak-lock section of the metrics: the
+// per-site counters plus the order-log totals they are checked against.
+func (c *Checked) WeakLocks() *obs.WeakLocks {
+	wl := obs.WeakLocksFrom(c.table, c.Record.WLSites)
+	wl.Timeouts = c.Record.WLStats.Timeouts
+	wl.OrderLogEntries = int64(c.Log.OrderCount(vm.SyncWeakLock))
+	for key, recs := range c.Log.Orders {
+		if key.Class != vm.SyncWeakLock {
+			continue
+		}
+		for _, r := range recs {
+			if r.Kind == vm.EvWLAcquire {
+				wl.AcquireOrderEntries++
+			}
+		}
+	}
+	return wl
+}
+
+// countWriter counts the bytes it passes on to w.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // VerifyDeterministicReplay records with one seed and replays with another;

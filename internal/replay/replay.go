@@ -13,9 +13,6 @@
 package replay
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sort"
@@ -121,74 +118,6 @@ func (l *Log) sortedOrderKeys() []vm.SyncKey {
 	})
 	return keys
 }
-
-// ---------------------------------------------------------------------------
-// Serialization (Table 2 reports gzip-compressed log sizes)
-
-// InputBytes serializes the input log.
-func (l *Log) InputBytes() []byte {
-	var buf bytes.Buffer
-	w := func(v int64) { binary.Write(&buf, binary.LittleEndian, v) }
-	tids := l.sortedInputTids()
-	w(int64(len(tids)))
-	for _, tid := range tids {
-		recs := l.Inputs[tid]
-		w(int64(tid))
-		w(int64(len(recs)))
-		for _, r := range recs {
-			w(int64(r.Op))
-			w(r.Val)
-			w(int64(len(r.Data)))
-			for _, d := range r.Data {
-				w(d)
-			}
-		}
-	}
-	return buf.Bytes()
-}
-
-// OrderBytes serializes the sync-order log.
-func (l *Log) OrderBytes() []byte {
-	var buf bytes.Buffer
-	w := func(v int64) { binary.Write(&buf, binary.LittleEndian, v) }
-	keys := l.sortedOrderKeys()
-	w(int64(len(keys)))
-	for _, k := range keys {
-		recs := l.Orders[k]
-		w(int64(k.Class))
-		w(k.ID)
-		w(int64(len(recs)))
-		for _, r := range recs {
-			// Pack tid and kind into one word, as a real log would; forced
-			// preemptions carry their anchor in two extra words.
-			w(int64(r.Tid)<<8 | int64(r.Kind))
-			if r.Kind == vm.EvWLForcedRelease {
-				w(r.Anchor.Instr)
-				s := r.Anchor.Sync << 1
-				if r.Anchor.Blocked {
-					s |= 1
-				}
-				w(s)
-			}
-		}
-	}
-	return buf.Bytes()
-}
-
-// GzipSize returns len(gzip(data)), the metric Table 2 reports.
-func GzipSize(data []byte) int {
-	var buf bytes.Buffer
-	zw, _ := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-	zw.Write(data)
-	zw.Close()
-	return buf.Len()
-}
-
-// InputLogKB and OrderLogKB return the compressed sizes in KB.
-func (l *Log) InputLogKB() float64 { return float64(GzipSize(l.InputBytes())) / 1024 }
-
-// OrderLogKB returns the compressed order-log size in KB.
-func (l *Log) OrderLogKB() float64 { return float64(GzipSize(l.OrderBytes())) / 1024 }
 
 // ---------------------------------------------------------------------------
 // Recorder

@@ -101,27 +101,6 @@ func TestReplayerDetectsExtraSyncOps(t *testing.T) {
 	}
 }
 
-func TestSerializationRoundNumbers(t *testing.T) {
-	log := NewLog()
-	log.Inputs[0] = []InputRec{{Op: types.BRead, Val: 3, Data: []int64{1, 2, 3}}}
-	log.Inputs[2] = []InputRec{{Op: types.BNow, Val: 99}}
-	key := vm.SyncKey{Class: vm.SyncWeakLock, ID: 5}
-	for i := 0; i < 100; i++ {
-		log.Orders[key] = append(log.Orders[key], OrderRec{Tid: int32(i % 3), Kind: vm.EvWLAcquire})
-	}
-	ib := log.InputBytes()
-	ob := log.OrderBytes()
-	if len(ib) == 0 || len(ob) == 0 {
-		t.Fatalf("empty serialization")
-	}
-	if GzipSize(ob) >= len(ob)+20 {
-		t.Errorf("gzip should not grow a repetitive log much: %d vs %d", GzipSize(ob), len(ob))
-	}
-	if log.InputLogKB() <= 0 || log.OrderLogKB() <= 0 {
-		t.Errorf("sizes should be positive")
-	}
-}
-
 func TestOrderCountByClass(t *testing.T) {
 	log := NewLog()
 	log.Orders[vm.SyncKey{Class: vm.SyncMutex, ID: 1}] = []OrderRec{{}, {}}

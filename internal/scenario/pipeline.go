@@ -91,8 +91,8 @@ func (s Spec) world() *oskit.World { return oskit.NewWorld(s.Seed ^ 0x5eed5eed5e
 //  7. replay       under a different seed; result must bit-match
 //  8. differential epoch vs full-vector verdicts on the original
 //     program's event stream must be identical
-//  9. clean        both checkers on the instrumented stream must agree
-//     on zero races under the extended sync set
+//  9. clean        both checkers on the replay's event stream must
+//     agree on zero races under the extended sync set
 //  10. precision   the precision-refined report (internal/escape over
 //     MHP) partitions the pair set, certifies clean including the
 //     discharge check, records, replays bit-identically under a
@@ -162,19 +162,16 @@ func RunPipeline(spec Spec) *Result {
 	}
 	res.pass("certify")
 
-	recRes, log, _ := ip.RecordTo(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ip.Table}, nil)
-	if recRes.Err != nil {
-		return res.fail("record", recRes.Err)
+	// Record, then replay with both checkers on the replay's event stream;
+	// the clean stage below reads their verdicts.
+	chk := ip.RecordAndCheck(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ip.Table}, spec.repSeed(), nil, nil)
+	if chk.RecordErr != nil {
+		return res.fail("record", chk.RecordErr)
 	}
 	res.pass("record")
 
-	repRes, err := ip.Replay(log, core.RunConfig{World: spec.world(), Seed: spec.repSeed(), Table: ip.Table})
-	if err != nil {
+	if err := replayMatch(chk); err != nil {
 		return res.fail("replay", err)
-	}
-	if repRes.Hash64() != recRes.Hash64() {
-		return res.fail("replay", fmt.Errorf("replay diverged: recorded %x, replayed %x\nrecorded output: %q\nreplayed output: %q",
-			recRes.Hash64(), repRes.Hash64(), recRes.Output, repRes.Output))
 	}
 	res.pass("replay")
 
@@ -193,16 +190,11 @@ func RunPipeline(spec Spec) *Result {
 
 	// The instrumented program must be race-free under the extended
 	// synchronization set — by both checkers, in agreement.
-	ep2, vc2 := trace.NewChecker(0), trace.NewVectorChecker(0)
-	r2 := core.CheckDynamicRacesWith(ip.Prog, ip.Table, core.RunConfig{World: spec.world(), Seed: spec.recSeed()}, ep2, vc2)
-	if r2.Err != nil {
-		return res.fail("clean", r2.Err)
+	if !chk.Agree {
+		return res.fail("clean", fmt.Errorf("epoch and vector verdicts diverged on the instrumented program\nepoch:  %v\nvector: %v", chk.Epoch.Races(), chk.Vector.Races()))
 	}
-	if !trace.SameVerdicts(ep2.Races(), vc2.Races()) {
-		return res.fail("clean", fmt.Errorf("epoch and vector verdicts diverged on the instrumented program\nepoch:  %v\nvector: %v", ep2.Races(), vc2.Races()))
-	}
-	if n := len(ep2.Races()); n != 0 {
-		return res.fail("clean", fmt.Errorf("instrumented program raced %d time(s) under the extended sync set: %v", n, ep2.Races()))
+	if n := chk.Epoch.RaceCount(); n != 0 {
+		return res.fail("clean", fmt.Errorf("instrumented program raced %d time(s) under the extended sync set: %v", n, chk.Epoch.Races()))
 	}
 	res.pass("clean")
 
@@ -229,28 +221,18 @@ func RunPipeline(spec Spec) *Result {
 	if !pcert.OK {
 		return res.fail("precision", fmt.Errorf("certificate not clean: %s", pcert.Summary()))
 	}
-	precRec, precLog, _ := ipp.RecordTo(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ipp.Table}, nil)
-	if precRec.Err != nil {
-		return res.fail("precision", precRec.Err)
+	pchk := ipp.RecordAndCheck(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ipp.Table}, spec.repSeed(), nil, nil)
+	if pchk.RecordErr != nil {
+		return res.fail("precision", pchk.RecordErr)
 	}
-	precRep, err := ipp.Replay(precLog, core.RunConfig{World: spec.world(), Seed: spec.repSeed(), Table: ipp.Table})
-	if err != nil {
+	if err := replayMatch(pchk); err != nil {
 		return res.fail("precision", err)
 	}
-	if precRep.Hash64() != precRec.Hash64() {
-		return res.fail("precision", fmt.Errorf("replay diverged: recorded %x, replayed %x\nrecorded output: %q\nreplayed output: %q",
-			precRec.Hash64(), precRep.Hash64(), precRec.Output, precRep.Output))
+	if !pchk.Agree {
+		return res.fail("precision", fmt.Errorf("epoch and vector verdicts diverged on the precision-instrumented program\nepoch:  %v\nvector: %v", pchk.Epoch.Races(), pchk.Vector.Races()))
 	}
-	ep3, vc3 := trace.NewChecker(0), trace.NewVectorChecker(0)
-	r3 := core.CheckDynamicRacesWith(ipp.Prog, ipp.Table, core.RunConfig{World: spec.world(), Seed: spec.recSeed()}, ep3, vc3)
-	if r3.Err != nil {
-		return res.fail("precision", r3.Err)
-	}
-	if !trace.SameVerdicts(ep3.Races(), vc3.Races()) {
-		return res.fail("precision", fmt.Errorf("epoch and vector verdicts diverged on the precision-instrumented program\nepoch:  %v\nvector: %v", ep3.Races(), vc3.Races()))
-	}
-	if n := len(ep3.Races()); n != 0 {
-		return res.fail("precision", fmt.Errorf("precision-instrumented program raced %d time(s) under the extended sync set: %v", n, ep3.Races()))
+	if n := pchk.Epoch.RaceCount(); n != 0 {
+		return res.fail("precision", fmt.Errorf("precision-instrumented program raced %d time(s) under the extended sync set: %v", n, pchk.Epoch.Races()))
 	}
 	// Store-fact replay: computing precision on the cold load memoizes the
 	// verdicts; the warm load must replay them to a byte-identical report.
@@ -265,6 +247,19 @@ func RunPipeline(spec Spec) *Result {
 	}
 	res.pass("precision")
 	return res
+}
+
+// replayMatch is nil when the checked replay completed and bit-matched
+// its recording.
+func replayMatch(c *core.Checked) error {
+	if c.ReplayErr != nil {
+		return c.ReplayErr
+	}
+	if !c.Matches {
+		return fmt.Errorf("replay diverged: recorded %x, replayed %x\nrecorded output: %q\nreplayed output: %q",
+			c.Record.Hash64(), c.Replay.Hash64(), c.Record.Output, c.Replay.Output)
+	}
+	return nil
 }
 
 func statField(p *core.Program, reused bool) interface{} {

@@ -365,9 +365,10 @@ func (e *Engine) Metrics() *obs.ServiceMetrics {
 	for _, j := range e.jobs {
 		jobs = append(jobs, j)
 	}
-	tenants := make([]*tenantState, 0, len(e.tenants))
+	// Copies, taken under e.mu: Submit bumps a tenant's jobs count.
+	tenants := make([]tenantState, 0, len(e.tenants))
 	for _, t := range e.tenants {
-		tenants = append(tenants, t)
+		tenants = append(tenants, *t)
 	}
 	draining := e.draining
 	e.mu.Unlock()

@@ -1,4 +1,4 @@
-package harness
+package service
 
 // The observed pipeline: Observe runs the full Chimera flow for one
 // program under one configuration with every stage wrapped in a tracer
@@ -9,8 +9,8 @@ package harness
 
 import (
 	"fmt"
+	"io"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/certify"
@@ -18,29 +18,27 @@ import (
 	"repro/internal/instrument"
 	"repro/internal/obs"
 	"repro/internal/oskit"
-	"repro/internal/replay"
-	"repro/internal/trace"
-	"repro/internal/vm"
 )
 
 // ObserveOptions parameterizes one observed pipeline run. The zero value
-// selects the harness defaults (config "all", epoch checker, Default()
-// seeds and heap).
+// selects the evaluation defaults (config "all", epoch checker, Table 2's
+// worker count and seeds, the VM's default heap).
 type ObserveOptions struct {
 	// Config is the instrumentation configuration name
 	// (instrument.OptionsFor vocabulary, "+mhp" suffix honored). Default
 	// "all".
 	Config string
 
-	// Workers is the evaluation-world worker count. Default Default().Workers.
+	// Workers is the evaluation-world worker count. Default
+	// bench.DefaultWorkers.
 	Workers int
 
 	// Parallel is the analysis worker count (relay wave scheduling).
 	// Default 1.
 	Parallel int
 
-	Seed       uint64 // record/check schedule seed (default Default().Seed)
-	ReplaySeed uint64 // replay schedule seed (default Default().ReplaySeed)
+	Seed       uint64 // record schedule seed (default core.DefaultSeed)
+	ReplaySeed uint64 // replay schedule seed (default core.DefaultReplaySeed)
 
 	// Checker selects the dynamic race checker: "epoch" (default) or
 	// "vector".
@@ -84,35 +82,24 @@ type Observation struct {
 	Report *obs.Report
 
 	Cert          *certify.Certificate
-	Races         []trace.Race
 	ReplayMatches bool
 }
 
-// ObserveBench observes an embedded benchmark by name.
-func ObserveBench(benchName string, o ObserveOptions) (*Observation, error) {
-	b := bench.ByName(benchName)
-	if b == nil {
-		return nil, fmt.Errorf("unknown benchmark %q", benchName)
-	}
-	return Observe(TargetFor(b), o)
-}
-
 func (o *ObserveOptions) fill() {
-	def := Default()
 	if o.Config == "" {
 		o.Config = "all"
 	}
 	if o.Workers == 0 {
-		o.Workers = def.Workers
+		o.Workers = bench.DefaultWorkers
 	}
 	if o.Parallel == 0 {
 		o.Parallel = 1
 	}
 	if o.Seed == 0 {
-		o.Seed = def.Seed
+		o.Seed = core.DefaultSeed
 	}
 	if o.ReplaySeed == 0 {
-		o.ReplaySeed = def.ReplaySeed
+		o.ReplaySeed = core.DefaultReplaySeed
 	}
 	if o.Checker == "" {
 		o.Checker = "epoch"
@@ -126,9 +113,14 @@ func (o *ObserveOptions) fill() {
 // → profile → instrument → certify → record → replay → dynamic check.
 // The MHP refinement stage always runs (and appears in the trace) even
 // for configurations that instrument the unrefined report, so every
-// trace covers every pipeline stage.
+// trace covers every pipeline stage. The checkers and the event counter
+// ride the replay (core.RecordAndCheck), so the report's event stream is
+// the replay's.
 func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	o.fill()
+	if o.Checker != "epoch" && o.Checker != "vector" {
+		return nil, fmt.Errorf("unknown checker %q (want epoch or vector)", o.Checker)
+	}
 	var tr *obs.Tracer
 	if o.Clock != nil {
 		tr = obs.NewTracerWithClock(o.Clock)
@@ -184,88 +176,29 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	}
 	sp.SetAttr("ok", ok).End()
 
-	sp = tr.Start("record")
-	var cw countWriter
-	rcRec := core.RunConfig{World: t.EvalWorld(o.Workers), Seed: o.Seed, Table: ip.Table}
-	recRes, log, lw := ip.RecordTo(rcRec, &cw)
-	if recRes.Err != nil {
-		return nil, fmt.Errorf("%s record: %w", t.Name, recRes.Err)
+	c := ip.RecordAndCheck(core.RunConfig{World: t.EvalWorld(o.Workers), Seed: o.Seed, Table: ip.Table},
+		o.ReplaySeed, io.Discard, tr)
+	if c.RecordErr != nil {
+		return nil, fmt.Errorf("%s record: %w", t.Name, c.RecordErr)
 	}
-	sp.SetAttr("makespan", recRes.Makespan).
-		SetAttr("input_records", int64(log.InputCount())).
-		SetAttr("order_records", int64(log.OrderCount())).
-		SetAttr("log_bytes", cw.n).End()
-
-	sp = tr.Start("replay")
-	repRes, repErr := ip.Replay(log, core.RunConfig{
-		World: t.EvalWorld(o.Workers), Seed: o.ReplaySeed, Table: ip.Table,
-	})
-	matches := repErr == nil && repRes.Hash64() == recRes.Hash64()
-	match := int64(0)
-	if matches {
-		match = 1
+	if c.ReplayErr != nil {
+		return nil, fmt.Errorf("%s replay: %w", t.Name, c.ReplayErr)
 	}
-	if repErr == nil {
-		sp.SetAttr("makespan", repRes.Makespan)
-	}
-	sp.SetAttr("match", match).End()
-	if repErr != nil {
-		return nil, fmt.Errorf("%s replay: %w", t.Name, repErr)
-	}
-
-	// The dynamic check is a separate run: the record run carries no
-	// sinks (observation stays off there, as in the measured harness), so
-	// the event-stream metrics describe the checked execution.
-	sp = tr.Start("dynamic-check")
-	var chk trace.RaceChecker
-	switch o.Checker {
-	case "epoch":
-		chk = trace.NewChecker(0)
-	case "vector":
-		chk = trace.NewVectorChecker(0)
-	default:
-		return nil, fmt.Errorf("unknown checker %q (want epoch or vector)", o.Checker)
-	}
-	counter := &obs.EventCounter{}
-	chkStart := time.Now()
-	chkRes := core.CheckDynamicRacesWith(ip.Prog, ip.Table, core.RunConfig{
-		World: t.EvalWorld(o.Workers), Seed: o.Seed,
-		Sinks: []vm.EventSink{counter},
-	}, chk)
-	chkWall := time.Since(chkStart).Nanoseconds()
-	if chkRes.Err != nil {
-		return nil, fmt.Errorf("%s checker run: %w", t.Name, chkRes.Err)
-	}
-	races := chk.Races()
-	sp.SetAttr("races", int64(len(races))).
-		SetAttr("events", chkRes.Counters.EventsEmitted).End()
 	root.End()
 
-	wl := obs.WeakLocksFrom(ip.Table, recRes.WLSites)
-	wl.Timeouts = recRes.WLStats.Timeouts
-	wl.OrderLogEntries = int64(log.OrderCount(vm.SyncWeakLock))
-	wl.AcquireOrderEntries = countAcquireEntries(log)
-
-	ws := lw.Stats()
+	checker := &obs.Checker{Name: o.Checker, Races: c.Epoch.RaceCount(), WallNS: c.Epoch.WallNS()}
+	if o.Checker == "vector" {
+		checker.Races, checker.WallNS = c.Vector.RaceCount(), c.Vector.WallNS()
+	}
 	rpt := &obs.Report{
 		Schema:    obs.Schema,
 		Program:   t.Name,
 		Config:    o.Config,
 		Stages:    tr.Stages(),
-		WeakLocks: wl,
-		Events:    counter.Events(chkRes.Counters.EventsEmitted, chkRes.Counters.EventBatches),
-		Log: &obs.LogStreams{
-			TotalBytes:    cw.n,
-			InputChunks:   ws.InputChunks,
-			OrderChunks:   ws.OrderChunks,
-			InputRecords:  ws.InputRecords,
-			OrderRecords:  ws.OrderRecords,
-			InputRawBytes: ws.InputRawBytes,
-			OrderRawBytes: ws.OrderRawBytes,
-			InputBytes:    ws.InputBytes,
-			OrderBytes:    ws.OrderBytes,
-		},
-		Checker: &obs.Checker{Name: o.Checker, Races: len(races), WallNS: chkWall},
+		WeakLocks: c.WeakLocks(),
+		Events:    c.Events,
+		Log:       &c.Logs,
+		Checker:   checker,
 	}
 	hits, partial, misses := o.Cache.Stats()
 	rpt.Cache = &obs.CacheStats{Hits: hits, PartialHits: partial, Misses: misses}
@@ -273,24 +206,6 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 
 	return &Observation{
 		Tracer: tr, Report: rpt,
-		Cert: cert, Races: races, ReplayMatches: matches,
+		Cert: cert, ReplayMatches: c.Matches,
 	}, nil
-}
-
-// countAcquireEntries counts the order log's weak-lock EvWLAcquire
-// records — the figure the report's AcquireOrderEntries invariant checks
-// against the per-site acquire totals.
-func countAcquireEntries(log *replay.Log) int64 {
-	var n int64
-	for key, recs := range log.Orders {
-		if key.Class != vm.SyncWeakLock {
-			continue
-		}
-		for _, r := range recs {
-			if r.Kind == vm.EvWLAcquire {
-				n++
-			}
-		}
-	}
-	return n
 }

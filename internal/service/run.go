@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/bench/harness"
 	"repro/internal/certify"
 	"repro/internal/cfg"
 	"repro/internal/core"
@@ -387,7 +386,7 @@ func runObserved(req *Request, out, errOut io.Writer) int {
 		label += "+mhp"
 	}
 
-	var target harness.ObserveTarget
+	var target ObserveTarget
 	switch {
 	case req.Bench == "all":
 		fmt.Fprintln(errOut, "racecheck: -trace/-metrics observe a single benchmark, not -bench all")
@@ -402,7 +401,7 @@ func runObserved(req *Request, out, errOut io.Writer) int {
 			fmt.Fprintf(errOut, "racecheck: unknown benchmark %q\n", req.Bench)
 			return ExitUsage
 		}
-		target = harness.TargetFor(b)
+		target = TargetFor(b)
 	default:
 		if len(req.Args) != 1 {
 			req.usage(errOut)
@@ -414,7 +413,7 @@ func runObserved(req *Request, out, errOut io.Writer) int {
 			return ExitFailure
 		}
 		name := strings.TrimSuffix(filepath.Base(req.Args[0]), filepath.Ext(req.Args[0]))
-		target = harness.ObserveTarget{
+		target = ObserveTarget{
 			Name:         name,
 			Source:       string(src),
 			ProfileWorld: func(run int) *oskit.World { return oskit.NewWorld(seed + uint64(run)) },
@@ -439,7 +438,7 @@ func runObserved(req *Request, out, errOut io.Writer) int {
 		outputs[path] = f
 	}
 
-	obsn, err := harness.Observe(target, harness.ObserveOptions{
+	obsn, err := Observe(target, ObserveOptions{
 		Config:   label,
 		Parallel: req.Parallel,
 		Seed:     seed,

@@ -64,7 +64,8 @@ func (c *EpochChecker) Races() []Race { return c.rep.sorted() }
 func (c *EpochChecker) RaceCount() int { return len(c.rep.races) }
 
 // WallNS returns the cumulative wall-clock nanoseconds this checker spent
-// consuming event batches (the harness's checker_wall_ns metric). Only
+// consuming event batches (the harness's checker_wall_ns metric and the
+// obs report's checker.wall_ns). Only
 // batched delivery through Drain is timed; direct Access/SyncEvent calls
 // are for tests.
 func (c *EpochChecker) WallNS() int64 { return c.wall }

@@ -30,6 +30,7 @@ package trace
 import (
 	"fmt"
 	"sort"
+	"time"
 
 	"repro/internal/minic/ast"
 	"repro/internal/vm"
@@ -251,6 +252,8 @@ type VectorChecker struct {
 	hb     hbState
 	shadow map[int64]*vcCell
 	rep    reporter
+
+	wall int64 // accumulated nanoseconds spent draining event batches
 }
 
 // NewVectorChecker returns the full-vector oracle checker; at most
@@ -269,6 +272,10 @@ func (c *VectorChecker) Races() []Race { return c.rep.sorted() }
 
 // RaceCount returns the number of distinct races.
 func (c *VectorChecker) RaceCount() int { return len(c.rep.races) }
+
+// WallNS returns the cumulative wall-clock nanoseconds this checker spent
+// consuming event batches, timed like EpochChecker.WallNS.
+func (c *VectorChecker) WallNS() int64 { return c.wall }
 
 // Access observes one shared-memory access.
 func (c *VectorChecker) Access(tid int, addr int64, write bool, node ast.NodeID, clock int64) {
@@ -315,6 +322,7 @@ func (c *VectorChecker) SyncEvent(key vm.SyncKey, kind vm.SyncEventKind, tid int
 
 // Drain implements vm.EventSink.
 func (c *VectorChecker) Drain(events []vm.Event) {
+	start := time.Now()
 	for i := range events {
 		e := &events[i]
 		switch e.Kind {
@@ -326,4 +334,5 @@ func (c *VectorChecker) Drain(events []vm.Event) {
 			c.hb.syncEvent(e.Key(), e.Sync, int(e.Tid))
 		}
 	}
+	c.wall += time.Since(start).Nanoseconds()
 }

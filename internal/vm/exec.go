@@ -66,6 +66,13 @@ type thread struct {
 	instrCount int64 // executed instructions (replay preemption anchor)
 	syncSeq    int64 // committed sync operations (anchor disambiguation)
 
+	// The thread's next replay-scheduled forced preemption, cached from
+	// the PreemptionMonitor (loadForced) so the per-instruction probe is a
+	// flag test and two compares.
+	hasForced bool
+	forcedKey SyncKey
+	forced    ForcedAnchor
+
 	// Deterministic-execution state: dc(t) = instrCount + detBoost is the
 	// logical clock; detBoost fast-forwards a woken sleeper past its
 	// waker; detParked marks threads parked by the arbiter.
@@ -102,6 +109,10 @@ type machine struct {
 	prog *Program
 	cfg  Config
 	cost CostModel
+
+	// pm is cfg.Monitor as a PreemptionMonitor, asserted once; nil when
+	// the monitor schedules and logs no forced preemptions.
+	pm PreemptionMonitor
 
 	mem     memory
 	memTop  int64
@@ -184,6 +195,7 @@ func newMachine(p *Program, cfg Config) *machine {
 		maxSteps:    cfg.MaxSteps,
 		wlTimeout:   cfg.WLTimeout,
 	}
+	m.pm, _ = cfg.Monitor.(PreemptionMonitor)
 	if cfg.WL != nil {
 		m.wlSites = make([]weaklock.SiteStats, cfg.WL.Len())
 	}
@@ -278,6 +290,7 @@ func (m *machine) newThread(fnIdx int, args []int64, startClock int64) (*thread,
 	}
 	t.frames = append(t.frames, frame{fn: fn, fp: fp, wantValue: true})
 	m.threads = append(m.threads, t)
+	m.loadForced(t)
 	if m.cfg.Funcs != nil {
 		m.cfg.Funcs.Enter(t.id, fn.Index, t.clock)
 	}
@@ -421,10 +434,12 @@ func (m *machine) runSlice(t *thread) {
 		}
 		// A replay-scheduled forced preemption anchored at this exact
 		// point fires before the next instruction.
-		if stop, fired := m.checkForcedAt(t); stop {
-			return
-		} else if fired {
-			continue
+		if t.forcedDue() {
+			if stop, fired := m.checkForcedAt(t); stop {
+				return
+			} else if fired {
+				continue
+			}
 		}
 		// A forced weak-lock preemption requires re-acquisition before the
 		// thread may execute further (paper §2.3).

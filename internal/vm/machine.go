@@ -170,6 +170,11 @@ type ForcedAnchor struct {
 // (paper §2.3). Recording implementations log the anchor; replaying
 // implementations expose the schedule so the VM can inject each preemption
 // at exactly the recorded point.
+//
+// Contract: NextForced(tid) changes only through CommitForced(…, tid, …).
+// The VM asks once when a thread is created and again after each of its
+// forced releases is committed, and caches the answer in between, so a
+// schedule must be complete before the run starts.
 type PreemptionMonitor interface {
 	// CommitForced records (or, on replay, consumes) a forced release of
 	// key by tid at the given anchor, returning the bookkeeping cost.

@@ -948,8 +948,9 @@ func (m *machine) forceRelease(id weaklock.ID, w wlWaiter) {
 			Sync:    owner.syncSeq,
 			Blocked: owner.state == tBlocked,
 		}
-		if pm, ok := m.cfg.Monitor.(PreemptionMonitor); ok && m.cfg.Monitor != nil {
-			cost := pm.CommitForced(key, owner.id, anchor, owner.clock)
+		if m.pm != nil {
+			cost := m.pm.CommitForced(key, owner.id, anchor, owner.clock)
+			m.loadForced(owner)
 			owner.clock += cost
 			m.wlStats.Logs[lost.kind]++
 			m.wlStats.LogCycles[lost.kind] += cost
@@ -966,30 +967,29 @@ func (m *machine) forceRelease(id weaklock.ID, w wlWaiter) {
 // ---------------------------------------------------------------------------
 // Replay-side forced preemption injection
 
-// pendingForced returns the next scheduled forced preemption for t whose
-// anchor counters have been reached, if the monitor supplies a schedule.
-func (m *machine) pendingForced(t *thread) (SyncKey, ForcedAnchor, bool) {
-	pm, ok := m.cfg.Monitor.(PreemptionMonitor)
-	if !ok {
-		return SyncKey{}, ForcedAnchor{}, false
+// loadForced caches t's next scheduled forced preemption. The monitor's
+// schedule for a thread changes only when that thread's preemption is
+// committed (the PreemptionMonitor contract), so the cache is loaded when
+// the thread is created and reloaded after each CommitForced for it.
+func (m *machine) loadForced(t *thread) {
+	if m.pm != nil {
+		t.forcedKey, t.forced, t.hasForced = m.pm.NextForced(t.id)
 	}
-	key, anchor, ok := pm.NextForced(t.id)
-	if !ok {
-		return SyncKey{}, ForcedAnchor{}, false
-	}
-	if t.instrCount != anchor.Instr || t.syncSeq != anchor.Sync {
-		return SyncKey{}, ForcedAnchor{}, false
-	}
-	return key, anchor, true
 }
 
-// checkForcedAt fires a forced preemption anchored at t's current point
-// before its next instruction. Returns (stop, fired): stop means the slice
-// must end (the thread parked waiting for its turn on the key); fired means
-// the preemption was injected and the slice should re-check state.
+// forcedDue reports whether t has reached its next scheduled forced
+// preemption's anchor counters.
+func (t *thread) forcedDue() bool {
+	return t.hasForced && t.instrCount == t.forced.Instr && t.syncSeq == t.forced.Sync
+}
+
+// checkForcedAt fires t's due forced preemption (forcedDue) before its
+// next instruction. Returns (stop, fired): stop means the slice must end
+// (the thread parked waiting for its turn on the key); fired means the
+// preemption was injected and the slice should re-check state.
 func (m *machine) checkForcedAt(t *thread) (stop, fired bool) {
-	key, anchor, ok := m.pendingForced(t)
-	if !ok || anchor.Blocked {
+	key, anchor := t.forcedKey, t.forced
+	if anchor.Blocked {
 		// Blocked-anchored preemptions fire while the thread is parked
 		// inside its operation, not before the operation executes.
 		return false, false
@@ -1009,21 +1009,17 @@ func (m *machine) checkForcedAt(t *thread) (stop, fired bool) {
 // injectBlockedForced scans parked threads for due blocked-anchored
 // preemptions and fires at most one; returns true if it did.
 func (m *machine) injectBlockedForced() bool {
-	if _, ok := m.cfg.Monitor.(PreemptionMonitor); !ok {
+	if m.pm == nil {
 		return false
 	}
 	for _, t := range m.threads {
-		if t.state != tBlocked {
+		if t.state != tBlocked || !t.forcedDue() || !t.forced.Blocked {
 			continue
 		}
-		key, anchor, ok := m.pendingForced(t)
-		if !ok || !anchor.Blocked {
-			continue
-		}
-		if !m.cfg.Monitor.TryProceed(key, EvWLForcedRelease, t.id) {
+		if !m.cfg.Monitor.TryProceed(t.forcedKey, EvWLForcedRelease, t.id) {
 			continue // preceding events on the key must commit first
 		}
-		return m.doInjectForced(t, key, anchor)
+		return m.doInjectForced(t, t.forcedKey, t.forced)
 	}
 	return false
 }
@@ -1054,8 +1050,8 @@ func (m *machine) doInjectForced(t *thread, key SyncKey, anchor ForcedAnchor) bo
 	m.wlStats.Timeouts++
 	m.wlStats.Releases[lost.kind]++
 	m.wlSites[id].Forced++
-	pm := m.cfg.Monitor.(PreemptionMonitor)
-	cost := pm.CommitForced(key, t.id, anchor, t.clock)
+	cost := m.pm.CommitForced(key, t.id, anchor, t.clock)
+	m.loadForced(t)
 	t.clock += cost
 	m.wlStats.Logs[lost.kind]++
 	m.wlStats.LogCycles[lost.kind] += cost
