@@ -16,10 +16,6 @@
 //	chimera-bench -parallel 4 -all      # fan independent cells over 4 workers
 //	chimera-bench -all -json out.json   # also write machine-readable entries
 //	                                    # (MHP opt sets) with wall-clock stats
-//	chimera-bench -all -json out.json -baseline
-//	                                    # additionally re-run the workload
-//	                                    # sequentially with caches off and
-//	                                    # record baseline_wall_ns/speedup
 //	chimera-bench -incremental          # cold vs warm (store-primed) wall
 //	                                    # of re-analyzing a single libc edit;
 //	                                    # with -json, recorded as the report's
@@ -72,7 +68,6 @@ func main() {
 		workers   = flag.Int("workers", 4, "evaluation worker count for tables/figures 5-7")
 		parallel  = flag.Int("parallel", runtime.NumCPU(), "harness worker pool size (1 = sequential)")
 		jsonPath  = flag.String("json", "", "write machine-readable measurements (MHP opt sets) to this file")
-		baseline  = flag.Bool("baseline", false, "with -json: also time the sequential uncached workload for baseline_wall_ns")
 		incr      = flag.Bool("incremental", false, "measure the warm-edit incremental-analysis speedup (recorded in -json when given)")
 		reps      = flag.Int("reps", 3, "with -incremental: wall-clock repetitions (minimum is reported)")
 		scenList  = flag.String("scenario", "", "generated scenario specs (family:seed:size, ';'-separated) to measure alongside the embedded benchmarks")
@@ -158,22 +153,6 @@ func main() {
 			HarnessWallNS: wall,
 			Incremental:   incBench,
 			Entries:       entries,
-		}
-		if *baseline {
-			fmt.Fprintln(os.Stderr, "re-running workload sequentially with caches disabled for the baseline...")
-			seqCfg := cfg
-			seqCfg.Parallel = 1
-			seqCfg.NoCache = true
-			seqStart := time.Now()
-			if _, err := harness.RunWorkload(seqCfg, names, want, io.Discard, os.Stderr); err != nil {
-				fatal(fmt.Errorf("baseline run: %w", err))
-			}
-			rep.BaselineWallNS = time.Since(seqStart).Nanoseconds()
-			if wall > 0 {
-				rep.Speedup = float64(rep.BaselineWallNS) / float64(wall)
-			}
-			fmt.Fprintf(os.Stderr, "harness wall: %.2fs (parallel=%d, cached) vs %.2fs (sequential, uncached): %.2fx\n",
-				float64(wall)/1e9, cfg.Parallel, float64(rep.BaselineWallNS)/1e9, rep.Speedup)
 		}
 		b, err := harness.RenderJSON(rep)
 		if err != nil {

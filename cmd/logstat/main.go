@@ -1,5 +1,6 @@
 // Command logstat inspects a Chimera record/replay log (the CHIMLOG2
-// chunked format written by racecheck -record and the bench harness):
+// chunked format replay.LogWriter writes, as in a chimerad record job's
+// spool):
 // per-stream chunk, record and byte counts, compression ratios, and the
 // order-record breakdown by sync class and event kind. Every chunk is
 // CRC-verified and fully decoded, so a clean exit also certifies the log

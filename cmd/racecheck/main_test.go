@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/service"
 )
 
 // update regenerates the golden files:
@@ -247,5 +248,61 @@ func TestTraceAndMetricsArtifacts(t *testing.T) {
 	}
 	if rpt.Log == nil || rpt.Log.TotalBytes != rpt.Log.InputBytes+rpt.Log.OrderBytes+21 {
 		t.Errorf("log stream bytes inconsistent: %+v", rpt.Log)
+	}
+}
+
+// An unknown instrumentation config is a usage error on every path that
+// takes one, with the same diagnostic; a refinement suffix inside -config
+// is unknown too, since -mhp and -precision name those. A record job
+// names its config the same way and fails validation.
+func TestUnknownConfigDiagnostics(t *testing.T) {
+	prog := filepath.Join("testdata", "barrier.mc")
+	metrics := filepath.Join(t.TempDir(), "m.json")
+	for _, tc := range []struct {
+		args   []string
+		config string
+	}{
+		{[]string{"-certify", "-config", "bogus", prog}, "bogus"},
+		{[]string{"-certify", "-config", "all+mhp", prog}, "all+mhp"},
+		{[]string{"-certify", "-bench", "aget", "-config", "bogus"}, "bogus"},
+		{[]string{"-dynamic", "-bench", "water", "-metrics", metrics, "-config", "bogus"}, "bogus"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(tc.args, &out, &errOut); code != service.ExitUsage {
+			t.Errorf("run(%v) = %d, want %d", tc.args, code, service.ExitUsage)
+		}
+		if want := "racecheck: unknown -config \"" + tc.config + "\"\n"; errOut.String() != want || out.Len() != 0 {
+			t.Errorf("run(%v): stdout %q, stderr %q; want only stderr %q", tc.args, out.String(), errOut.String(), want)
+		}
+	}
+	job := &service.JobSpec{Kind: service.JobRecord, Source: "int main() { return 0; }", Config: "bogus"}
+	if err := job.Validate(); err == nil || err.Error() != `record job: unknown config "bogus"` {
+		t.Errorf("record job with config bogus: Validate() = %v", err)
+	}
+}
+
+// -precision applies to the observed pipeline as to -certify: the
+// metrics report is labelled all+precision and counts the weak-lock sites
+// of the precision-refined report (2 on aget, where plain all has 5).
+func TestObservedHonorsPrecision(t *testing.T) {
+	metricsPath := filepath.Join(t.TempDir(), "metrics.json")
+	var out, errOut bytes.Buffer
+	args := []string{"-dynamic", "-bench", "aget", "-precision", "-metrics", metricsPath}
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("run(%v) = %d, stderr: %s", args, code, errOut.String())
+	}
+	data, err := os.ReadFile(metricsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rpt obs.Report
+	if err := json.Unmarshal(data, &rpt); err != nil {
+		t.Fatal(err)
+	}
+	if rpt.Config != "all+precision" {
+		t.Errorf("report config %q, want all+precision", rpt.Config)
+	}
+	if rpt.WeakLocks == nil || len(rpt.WeakLocks.Sites) != 2 {
+		t.Errorf("report weak-lock sites %+v, want 2", rpt.WeakLocks)
 	}
 }

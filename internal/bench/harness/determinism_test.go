@@ -2,7 +2,6 @@ package harness
 
 import (
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -55,13 +54,10 @@ func TestAnalysisDeterministicUnderParallelism(t *testing.T) {
 			for _, cn := range allConfigNames() {
 				var srcs [2]string
 				var locks [2]int
+				c, _ := core.ParseConfig(cn)
+				opts, _ := c.Options()
 				for i, p := range []*core.Program{seq, par} {
-					rep := p.Races
-					if strings.HasSuffix(cn, "+mhp") {
-						rep = p.RefineMHP()
-					}
-					opts, _ := instrument.OptionsFor(strings.TrimSuffix(cn, "+mhp"))
-					res, err := instrument.Instrument(rep, conc, opts)
+					res, err := instrument.Instrument(p.Report(c.MHP, c.Precision), conc, opts)
 					if err != nil {
 						t.Fatalf("%s: %v", cn, err)
 					}

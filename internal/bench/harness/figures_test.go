@@ -83,7 +83,10 @@ func TestApacheMemsetAnecdote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ip := s.Items[0].Inst["all"]
+	ip, err := s.Items[0].Instrumented("all")
+	if err != nil {
+		t.Fatal(err)
+	}
 	src := ip.Prog.Source
 	i := strings.Index(src, "void my_memset")
 	if i < 0 {

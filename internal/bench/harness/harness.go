@@ -1,5 +1,5 @@
 // Package harness drives the full evaluation: it prepares every benchmark
-// (analyze → profile → instrument under each optimization configuration),
+// (analyze → profile, then instrument each configuration on first use),
 // measures native/record/replay executions on the simulated multicore, and
 // regenerates each table and figure of the paper's evaluation section:
 //
@@ -26,12 +26,10 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/instrument"
 	"repro/internal/obs"
 	"repro/internal/oskit"
 	"repro/internal/pool"
 	"repro/internal/profile"
-	"repro/internal/relay"
 	"repro/internal/vm"
 	"repro/internal/weaklock"
 )
@@ -61,8 +59,9 @@ type Config struct {
 	Parallel int
 
 	// NoCache disables the measurement and native-run caches, re-running
-	// every cell from scratch like the pre-cache harness. It exists for
-	// baseline wall-clock comparisons; results are identical either way.
+	// every cell from scratch; results are identical either way. The
+	// benchmark's uncached embedded-dynamic cells and
+	// TestSuiteDeterministicUnderParallelism set it.
 	NoCache bool
 
 	// Precision applies the static precision layer (internal/escape:
@@ -81,49 +80,41 @@ func Default() Config {
 
 // Prepared caches everything derivable from one benchmark independent of
 // the measured run: the analysis, the profile, and one instrumentation per
-// configuration. The analysis artifact (Prog and its race reports) is
-// computed once and shared read-only across every config; Instrumented
-// additions are mutex-guarded so concurrent measurement cells of one
-// benchmark stay safe.
+// configuration, built on first use. The analysis artifact (Prog and its
+// race reports) is computed once and shared read-only across every
+// config; instrumentations are added under a mutex so concurrent
+// measurement cells of one benchmark stay safe.
 type Prepared struct {
 	B    *bench.Benchmark
 	Prog *core.Program
 	Conc *profile.Concurrency
-	Inst map[string]*core.Instrumented
 
-	// Precision mirrors Config.Precision: instrument precision-refined
-	// reports instead of the plain ones.
+	// Precision mirrors Config.Precision: every configuration is
+	// instrumented as if its label ended in "+precision".
 	Precision bool
 
-	mu sync.Mutex // guards lazy additions to Inst
+	mu   sync.Mutex // guards inst
+	inst map[string]*core.Instrumented
 }
 
-// ReportFor returns the race report a configuration instruments: the
-// MHP-refined one for "+mhp" configurations, the full RELAY report
-// otherwise; with Precision set, each of those additionally passes
-// through the static precision layer.
-func (p *Prepared) ReportFor(configName string) *relay.Report {
-	return p.Prog.Report(strings.HasSuffix(configName, "+mhp"), p.Precision)
-}
-
-// Instrumented returns the instrumentation for a configuration, building
-// and caching it on first use. Prepare eagerly builds only the Figure 5
-// set; the MHP configurations are built here on demand.
+// Instrumented returns the instrumentation for a configuration label
+// (core.ParseConfig), building and caching it on first use.
 func (p *Prepared) Instrumented(configName string) (*core.Instrumented, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if ip, ok := p.Inst[configName]; ok {
+	if ip, ok := p.inst[configName]; ok {
 		return ip, nil
 	}
-	opts, ok := instrument.OptionsFor(strings.TrimSuffix(configName, "+mhp"))
+	c, ok := core.ParseConfig(configName)
 	if !ok {
 		return nil, fmt.Errorf("%s: unknown config %q", p.B.Name, configName)
 	}
-	ip, err := p.Prog.InstrumentWith(p.ReportFor(configName), p.Conc, opts)
+	c.Precision = c.Precision || p.Precision
+	ip, err := p.Prog.InstrumentAs(c, p.Conc, nil)
 	if err != nil {
 		return nil, fmt.Errorf("%s/%s: %w", p.B.Name, configName, err)
 	}
-	p.Inst[configName] = ip
+	p.inst[configName] = ip
 	return ip, nil
 }
 
@@ -201,8 +192,8 @@ func (s *Suite) forEach(n int, fn func(i int) error) error {
 	return pool.RunWave(s.Cfg.Parallel, idx, fn)
 }
 
-// Prepare analyzes, profiles and instruments one benchmark under every
-// configuration, standalone (no shared caches, sequential analysis).
+// Prepare analyzes and profiles one benchmark, standalone (no shared
+// caches, sequential analysis).
 func Prepare(b *bench.Benchmark) (*Prepared, error) {
 	return prepareWith(core.NewCache(nil), b, 1, false)
 }
@@ -221,13 +212,7 @@ func prepareWith(cache *core.Cache, b *bench.Benchmark, workers int, precision b
 		return nil, fmt.Errorf("%s: %w", b.Name, err)
 	}
 	conc := prog.ProfileNonConcurrency(b.ProfileWorld, b.ProfileRuns, 10_000)
-	p := &Prepared{B: b, Prog: prog, Conc: conc, Precision: precision, Inst: make(map[string]*core.Instrumented)}
-	for _, cn := range ConfigNames {
-		if _, err := p.Instrumented(cn); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return &Prepared{B: b, Prog: prog, Conc: conc, Precision: precision, inst: make(map[string]*core.Instrumented)}, nil
 }
 
 // Measurement is one measured configuration of one benchmark.

@@ -22,11 +22,9 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // BENCH_PR*.json. Values here are synthetic; only the shape matters.
 func TestJSONSchemaGolden(t *testing.T) {
 	rep := &JSONReport{
-		Parallel:       4,
-		Workers:        4,
-		HarnessWallNS:  2_000_000,
-		BaselineWallNS: 5_000_000,
-		Speedup:        2.5,
+		Parallel:      4,
+		Workers:       4,
+		HarnessWallNS: 2_000_000,
 		Entries: []JSONEntry{
 			// Deliberately out of canonical order: RenderJSON must sort.
 			{

@@ -77,8 +77,8 @@ func TestMHPRefinementOnBarrierBenches(t *testing.T) {
 	}
 }
 
-// The harness builds "+mhp" configurations lazily and they measure end to
-// end, replay matching included.
+// "+mhp" configurations build on first use like every other and measure
+// end to end, replay matching included.
 func TestHarnessMHPConfigs(t *testing.T) {
 	s, err := NewSuite(Default(), "water")
 	if err != nil {
@@ -108,5 +108,32 @@ func TestHarnessMHPConfigs(t *testing.T) {
 			t.Errorf("%s: weak locks %d, want fewer than %s's %d",
 				pair[1], mhpIP.Table.Len(), pair[0], baseIP.Table.Len())
 		}
+	}
+}
+
+// A precision suite instruments the precision-refined report under a
+// label that does not say so. The certificate is labelled from the
+// artifact, so it names the report it was checked against, whichever
+// caller certifies first.
+func TestCertificateLabelFollowsArtifact(t *testing.T) {
+	cfg := Default()
+	cfg.Precision = true
+	s, err := NewSuite(cfg, "aget")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ip, err := s.Items[0].Instrumented("all+mhp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cert, _, err := ip.Certify()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cert.Config != "all+mhp+precision" {
+		t.Errorf("certificate label %q, want %q", cert.Config, "all+mhp+precision")
+	}
+	if !cert.OK {
+		t.Errorf("certificate failed: %s", cert.Summary())
 	}
 }

@@ -59,13 +59,12 @@ func (p *benchPrep) instrumented(t *testing.T, config string) *core.Instrumented
 	if ip, ok := p.inst[config]; ok {
 		return ip
 	}
-	base, mhp := strings.CutSuffix(config, "+mhp")
-	opts, ok := instrument.OptionsFor(base)
+	c, ok := core.ParseConfig(config)
 	if !ok {
 		t.Fatalf("unknown config %q", config)
 	}
 	conc := p.prog.ProfileNonConcurrency(p.b.ProfileWorld, p.b.ProfileRuns, 10_000)
-	ip, err := p.prog.InstrumentWith(p.prog.Report(mhp, false), conc, opts)
+	ip, err := p.prog.InstrumentAs(c, conc, nil)
 	if err != nil {
 		t.Fatalf("instrument %s/%s: %v", p.b.Name, config, err)
 	}
@@ -111,11 +110,11 @@ func TestCertificateDeterministic(t *testing.T) {
 			t.Fatalf("load (workers=%d): %v", workers, err)
 		}
 		conc := prog.ProfileNonConcurrency(b.ProfileWorld, b.ProfileRuns, 10_000)
-		ip, err := prog.InstrumentWith(prog.RefinedRaces(), conc, instrument.AllOptions())
+		ip, err := prog.InstrumentAs(core.Config{Base: "all", MHP: true}, conc, nil)
 		if err != nil {
 			t.Fatalf("instrument (workers=%d): %v", workers, err)
 		}
-		cert, _, err := ip.Certify("all+mhp")
+		cert, _, err := ip.Certify()
 		if err != nil {
 			t.Fatalf("certify (workers=%d): %v", workers, err)
 		}
@@ -135,7 +134,7 @@ func TestCertificateDeterministic(t *testing.T) {
 func TestCertificateGolden(t *testing.T) {
 	p := prepare(t, "aget")
 	ip := p.instrumented(t, "all+mhp")
-	cert, _, err := ip.Certify("all+mhp")
+	cert, _, err := ip.Certify()
 	if err != nil {
 		t.Fatalf("certify: %v", err)
 	}
@@ -244,11 +243,11 @@ func loadNegative(t *testing.T) *core.Program {
 func TestNegativeFixturesFailClosed(t *testing.T) {
 	prog := loadNegative(t)
 
-	ip, err := prog.InstrumentWith(prog.Races, nil, instrument.NaiveOptions())
+	ip, err := prog.InstrumentAs(core.Config{Base: "instr"}, nil, nil)
 	if err != nil {
 		t.Fatalf("instrument control: %v", err)
 	}
-	control, _, err := ip.Certify("instr")
+	control, _, err := ip.Certify()
 	if err != nil {
 		t.Fatalf("certify control: %v", err)
 	}

@@ -257,6 +257,11 @@ type Instrumented struct {
 	// the instrumented source against exactly this report.
 	Rep *relay.Report
 
+	// Config is the configuration InstrumentAs built this artifact
+	// under; the certificate carries its label. It is the zero Config
+	// for artifacts InstrumentWith built from an explicit report.
+	Config Config
+
 	certOnce sync.Once
 	cert     *certify.Certificate
 	certWall int64
@@ -269,13 +274,12 @@ type Instrumented struct {
 // instrumenter's bookkeeping. The certificate is computed once per
 // Instrumented and shared — like RefinedRaces it is part of the
 // read-only artifact a Cache hands out, safe for concurrent pipeline
-// workers. The config label is stamped into the certificate on the
-// first call. The returned wall time is the certification cost of that
-// first computation, in nanoseconds.
-func (ip *Instrumented) Certify(config string) (*certify.Certificate, int64, error) {
+// workers. The certificate is labelled with ip.Config. The returned wall
+// time is the certification cost of the one computation, in nanoseconds.
+func (ip *Instrumented) Certify() (*certify.Certificate, int64, error) {
 	ip.certOnce.Do(func() {
 		start := time.Now()
-		ip.cert, ip.certErr = certify.Certify(ip.Rep, ip.Report.Source, ip.Orig.Name, config)
+		ip.cert, ip.certErr = certify.Certify(ip.Rep, ip.Report.Source, ip.Orig.Name, ip.Config.String())
 		ip.certWall = time.Since(start).Nanoseconds()
 	})
 	return ip.cert, ip.certWall, ip.certErr

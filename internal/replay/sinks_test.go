@@ -2,12 +2,10 @@ package replay_test
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/instrument"
 	"repro/internal/obs"
 	"repro/internal/oskit"
 	"repro/internal/replay"
@@ -76,8 +74,8 @@ func TestSinksNeverChangeARun(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, config := range []string{"instr", "all+mhp"} {
-			opts, _ := instrument.OptionsFor(strings.TrimSuffix(config, "+mhp"))
-			ip, err := prog.InstrumentWith(prog.Report(strings.HasSuffix(config, "+mhp"), false), nil, opts)
+			c, _ := core.ParseConfig(config)
+			ip, err := prog.InstrumentAs(c, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
-	"repro/internal/instrument"
 	"repro/internal/oskit"
 	"repro/internal/summary"
 	"repro/internal/trace"
@@ -13,8 +12,9 @@ import (
 
 // Config is the instrumentation configuration the soundness pipeline
 // certifies: the full optimization set over the MHP-refined report —
-// the flagship "all+mhp" cell of the benchmark harness.
-const Config = "all+mhp"
+// the flagship "all+mhp" cell of the benchmark harness. Stage 10 adds
+// the precision layer to it.
+var Config = core.Config{Base: "all", MHP: true}
 
 // Result is the outcome of pushing one generated program through the
 // full soundness pipeline. On failure, FailStage names the first stage
@@ -144,16 +144,15 @@ func RunPipeline(spec Spec) *Result {
 	}
 	res.pass("incremental")
 
-	refined := fresh.RefinedRaces()
-	res.KeptPairs = len(refined.Pairs)
-	ip, err := fresh.InstrumentWith(refined, nil, instrument.AllOptions())
+	ip, err := fresh.InstrumentAs(Config, nil, nil)
 	if err != nil {
 		return res.fail("instrument", err)
 	}
+	res.KeptPairs = len(ip.Rep.Pairs)
 	res.WeakLocks = ip.Table.Len()
 	res.pass("instrument")
 
-	cert, _, err := ip.Certify(Config)
+	cert, _, err := ip.Certify()
 	if err != nil {
 		return res.fail("certify", err)
 	}
@@ -203,18 +202,20 @@ func RunPipeline(spec Spec) *Result {
 	// certificate including the discharge check, record and replay
 	// bit-identically, stay race-free under both checkers, and reproduce
 	// byte-identically from facts memoized in the summary store.
-	prec := fresh.PrecisionRaces()
+	pc := Config
+	pc.Precision = true
+	ipp, err := fresh.InstrumentAs(pc, nil, nil)
+	if err != nil {
+		return res.fail("precision", err)
+	}
+	prec := ipp.Rep
 	if len(prec.Pairs)+len(prec.Pruned) != res.StaticPairs {
 		return res.fail("precision", fmt.Errorf("refined report does not partition the pair set: %d kept + %d pruned != %d static",
 			len(prec.Pairs), len(prec.Pruned), res.StaticPairs))
 	}
 	res.PrecisionKept = len(prec.Pairs)
-	res.PrecisionPruned = len(prec.Pruned) - len(refined.Pruned)
-	ipp, err := fresh.InstrumentWith(prec, nil, instrument.AllOptions())
-	if err != nil {
-		return res.fail("precision", err)
-	}
-	pcert, _, err := ipp.Certify(Config + "+precision")
+	res.PrecisionPruned = len(prec.Pruned) - len(ip.Rep.Pruned)
+	pcert, _, err := ipp.Certify()
 	if err != nil {
 		return res.fail("precision", err)
 	}

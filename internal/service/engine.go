@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/instrument"
 	"repro/internal/obs"
 	"repro/internal/oskit"
 	"repro/internal/pool"
@@ -581,10 +580,9 @@ func (e *Engine) execAnalyze(job *Job, spec *JobSpec) *JobResult {
 	return &JobResult{ExitCode: code, Stdout: out.String(), Stderr: errOut.String()}
 }
 
-// instrumentFor loads and instruments the program a record or
-// replay-verify job describes: tenant-cached analysis, optional MHP
-// refinement, then the named instrumentation config.
-func (e *Engine) instrumentFor(tenant, name, source, config string, useMHP bool) (*core.Instrumented, error) {
+// instrumentFor loads the program a record or replay-verify job
+// describes through the tenant's cache and instruments it under config.
+func (e *Engine) instrumentFor(tenant, name, source string, config core.Config) (*core.Instrumented, error) {
 	env := e.envFor(tenant)
 	if name == "" {
 		name = "prog"
@@ -593,18 +591,14 @@ func (e *Engine) instrumentFor(tenant, name, source, config string, useMHP bool)
 	if err != nil {
 		return nil, err
 	}
-	opts, ok := instrument.OptionsFor(config)
-	if !ok {
-		return nil, fmt.Errorf("unknown config %q", config)
-	}
-	return prog.InstrumentWith(prog.Report(useMHP, false), nil, opts)
+	return prog.InstrumentAs(config, nil, nil)
 }
 
 // execRecord instruments the program and records one execution, with the
 // CHIMLOG2 log streamed to the job's disk spool as records commit.
 func (e *Engine) execRecord(job *Job, spec *JobSpec) *JobResult {
 	sp := job.tracer.Start("instrument")
-	ip, err := e.instrumentFor(spec.Tenant, spec.Name, spec.Source, spec.config(), spec.MHP)
+	ip, err := e.instrumentFor(spec.Tenant, spec.Name, spec.Source, spec.config())
 	sp.End()
 	if err != nil {
 		return &JobResult{ExitCode: ExitFailure, Stderr: fmt.Sprintf("record: %v\n", err)}
@@ -652,7 +646,7 @@ func (e *Engine) execRecord(job *Job, spec *JobSpec) *JobResult {
 func (e *Engine) execReplayVerify(job *Job, spec *JobSpec) *JobResult {
 	logPath := job.spool
 	expect := ""
-	name, source, config, useMHP := spec.Name, spec.Source, spec.config(), spec.MHP
+	name, source, config := spec.Name, spec.Source, spec.config()
 	if spec.LogJob != "" {
 		src, ok := e.Job(spec.LogJob)
 		if !ok {
@@ -665,11 +659,11 @@ func (e *Engine) execReplayVerify(job *Job, spec *JobSpec) *JobResult {
 		logPath = src.spool
 		expect = v.Result.OutputHash
 		if source == "" {
-			name, source, config, useMHP = src.spec.Name, src.spec.Source, src.spec.config(), src.spec.MHP
+			name, source, config = src.spec.Name, src.spec.Source, src.spec.config()
 		}
 	}
 	sp := job.tracer.Start("instrument")
-	ip, err := e.instrumentFor(spec.Tenant, name, source, config, useMHP)
+	ip, err := e.instrumentFor(spec.Tenant, name, source, config)
 	sp.End()
 	if err != nil {
 		return &JobResult{ExitCode: ExitFailure, Stderr: fmt.Sprintf("replay-verify: %v\n", err)}

@@ -169,7 +169,7 @@ func TestEngineReplayVerifyOversizedRead(t *testing.T) {
 	e := newTestEngine(t)
 	defer e.Drain(time.Minute)
 
-	ip, err := e.instrumentFor("acme", "oversized", oversizedReadSrc, "all", false)
+	ip, err := e.instrumentFor("acme", "oversized", oversizedReadSrc, core.Config{Base: "all"})
 	if err != nil {
 		t.Fatal(err)
 	}

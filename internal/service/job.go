@@ -7,7 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/instrument"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -87,12 +87,14 @@ type JobSpec struct {
 	Verbose bool   `json:"verbose,omitempty"`
 }
 
-// config returns the instrumentation config name with the default applied.
-func (s *JobSpec) config() string {
-	if s.Config == "" {
-		return "all"
+// config is the instrumentation configuration the Config (default
+// "all") and MHP fields name together.
+func (s *JobSpec) config() core.Config {
+	c := core.Config{Base: s.Config, MHP: s.MHP}
+	if c.Base == "" {
+		c.Base = "all"
 	}
-	return s.Config
+	return c
 }
 
 // Validate reports why the spec cannot be executed.
@@ -112,8 +114,8 @@ func (s *JobSpec) Validate() error {
 		if s.Source == "" {
 			return fmt.Errorf("record job needs inline source")
 		}
-		if _, ok := instrument.OptionsFor(s.config()); !ok {
-			return fmt.Errorf("record job: unknown config %q", s.config())
+		if _, ok := s.config().Options(); !ok {
+			return fmt.Errorf("record job: unknown config %q", s.config().Base)
 		}
 	case JobReplayVerify:
 		switch {
@@ -125,8 +127,8 @@ func (s *JobSpec) Validate() error {
 			return fmt.Errorf("replay-verify job with log_upload needs inline source")
 		}
 		if s.Source != "" {
-			if _, ok := instrument.OptionsFor(s.config()); !ok {
-				return fmt.Errorf("replay-verify job: unknown config %q", s.config())
+			if _, ok := s.config().Options(); !ok {
+				return fmt.Errorf("replay-verify job: unknown config %q", s.config().Base)
 			}
 		}
 	case JobGenPipeline:

@@ -10,12 +10,10 @@ package service
 import (
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/bench"
 	"repro/internal/certify"
 	"repro/internal/core"
-	"repro/internal/instrument"
 	"repro/internal/obs"
 	"repro/internal/oskit"
 )
@@ -24,9 +22,8 @@ import (
 // selects the evaluation defaults (config "all", epoch checker, Table 2's
 // worker count and seeds, the VM's default heap).
 type ObserveOptions struct {
-	// Config is the instrumentation configuration name
-	// (instrument.OptionsFor vocabulary, "+mhp" suffix honored). Default
-	// "all".
+	// Config is the instrumentation configuration label
+	// (core.ParseConfig). Default "all".
 	Config string
 
 	// Workers is the evaluation-world worker count. Default
@@ -110,16 +107,21 @@ func (o *ObserveOptions) fill() {
 }
 
 // Observe runs the traced pipeline end to end: analyze → MHP refinement
-// → profile → instrument → certify → record → replay → dynamic check.
-// The MHP refinement stage always runs (and appears in the trace) even
-// for configurations that instrument the unrefined report, so every
-// trace covers every pipeline stage. The checkers and the event counter
+// (→ precision refinement under "+precision" configurations) → profile →
+// instrument → certify → record → replay → dynamic check. The MHP
+// refinement stage always runs (and appears in the trace) even for
+// configurations that instrument the unrefined report, so every trace
+// covers every pipeline stage. The checkers and the event counter
 // ride the replay (core.RecordAndCheck), so the report's event stream is
 // the replay's.
 func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	o.fill()
 	if o.Checker != "epoch" && o.Checker != "vector" {
 		return nil, fmt.Errorf("unknown checker %q (want epoch or vector)", o.Checker)
+	}
+	config, known := core.ParseConfig(o.Config)
+	if !known {
+		return nil, fmt.Errorf("unknown config %q", o.Config)
 	}
 	var tr *obs.Tracer
 	if o.Clock != nil {
@@ -142,9 +144,9 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	refined := prog.RefinedRaces()
 	sp.SetAttr("kept", int64(len(refined.Pairs))).
 		SetAttr("pruned", int64(len(refined.Pruned))).End()
-	rep := prog.Races
-	if strings.HasSuffix(o.Config, "+mhp") {
-		rep = refined
+	if config.Precision {
+		sp = tr.Start("precision-refine")
+		sp.SetAttr("kept", int64(len(prog.Report(config.MHP, true).Pairs))).End()
 	}
 
 	sp = tr.Start("profile")
@@ -153,12 +155,7 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 		SetAttr("concurrent_pairs", int64(conc.PairCount())).End()
 
 	sp = tr.Start("instrument")
-	iopts, known := instrument.OptionsFor(strings.TrimSuffix(o.Config, "+mhp"))
-	if !known {
-		return nil, fmt.Errorf("unknown config %q", o.Config)
-	}
-	iopts.Tracer = tr
-	ip, err := prog.InstrumentWith(rep, conc, iopts)
+	ip, err := prog.InstrumentAs(config, conc, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +163,7 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 		SetAttr("sites", int64(len(ip.Report.Sites))).End()
 
 	sp = tr.Start("certify")
-	cert, _, err := ip.Certify(o.Config)
+	cert, _, err := ip.Certify()
 	if err != nil {
 		return nil, fmt.Errorf("%s certify: %w", t.Name, err)
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -75,6 +76,12 @@ type Request struct {
 // NewRequest returns a Request with racecheck's flag defaults.
 func NewRequest() *Request {
 	return &Request{Parallel: 1, Config: "all", Checker: "epoch", Seed: 1}
+}
+
+// config is the instrumentation configuration -config, -mhp and
+// -precision name together.
+func (req *Request) config() core.Config {
+	return core.Config{Base: req.Config, MHP: req.MHP, Precision: req.Precision}
 }
 
 // usage prints the CLI usage when available, or a one-line reminder.

@@ -115,17 +115,11 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		return runDynamic(name, prog, oskit.NewWorld(req.Seed), req.Seed, req.Checker, out, errOut)
 	}
 
-	opts, okConfig := instrument.OptionsFor(req.Config)
+	config := req.config()
+	opts, okConfig := config.Options()
 	if req.Certify && !okConfig {
 		fmt.Fprintf(errOut, "racecheck: unknown -config %q\n", req.Config)
 		return ExitUsage
-	}
-	label := req.Config
-	if req.MHP {
-		label += "+mhp"
-	}
-	if req.Precision {
-		label += "+precision"
 	}
 
 	if req.Bench != "" {
@@ -133,7 +127,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 			req.usage(errOut)
 			return ExitUsage
 		}
-		return runBench(env, req.Bench, label, opts, req.MHP, req.Precision, req.CertOut, out, errOut)
+		return runBench(env, req.Bench, config, req.CertOut, out, errOut)
 	}
 
 	if len(req.Args) != 1 {
@@ -283,7 +277,7 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		instSrc = res.Source
 	}
 	sp = req.Tracer.Start("certify")
-	cert, err := certify.Certify(rep, instSrc, name, label)
+	cert, err := certify.Certify(rep, instSrc, name, config.String())
 	sp.End()
 	if err != nil {
 		fmt.Fprintln(errOut, "racecheck: certify:", err)
@@ -372,18 +366,14 @@ func printSummaryStats(cache *core.Cache, store *summary.Store, out io.Writer) {
 // (ExitArtifact) so scripts can tell "could not write the artifacts" from
 // "the pipeline failed".
 func runObserved(req *Request, out, errOut io.Writer) int {
-	checker, seed, config := req.Checker, req.Seed, req.Config
+	checker, seed, config := req.Checker, req.Seed, req.config()
 	if checker != "epoch" && checker != "vector" {
 		fmt.Fprintf(errOut, "racecheck: -trace/-metrics support -checker epoch or vector, not %q\n", checker)
 		return ExitUsage
 	}
-	if _, ok := instrument.OptionsFor(config); !ok {
-		fmt.Fprintf(errOut, "racecheck: unknown -config %q\n", config)
+	if _, ok := config.Options(); !ok {
+		fmt.Fprintf(errOut, "racecheck: unknown -config %q\n", req.Config)
 		return ExitUsage
-	}
-	label := config
-	if req.MHP {
-		label += "+mhp"
 	}
 
 	var target ObserveTarget
@@ -439,7 +429,7 @@ func runObserved(req *Request, out, errOut io.Writer) int {
 	}
 
 	obsn, err := Observe(target, ObserveOptions{
-		Config:   label,
+		Config:   config.String(),
 		Parallel: req.Parallel,
 		Seed:     seed,
 		Checker:  checker,
@@ -606,7 +596,7 @@ func reportGen(r *scenario.Result, spec scenario.Spec, verbose bool, out, errOut
 // runBench certifies embedded benchmarks: the full pipeline (analysis,
 // profile, instrumentation) runs per benchmark and the instrumented
 // output is certified against the same report it was derived from.
-func runBench(env *Env, name, label string, opts instrument.Options, useMHP, usePrecision bool, certOut string, out, errOut io.Writer) int {
+func runBench(env *Env, name string, config core.Config, certOut string, out, errOut io.Writer) int {
 	var list []*bench.Benchmark
 	if name == "all" {
 		list = bench.All()
@@ -625,14 +615,13 @@ func runBench(env *Env, name, label string, opts instrument.Options, useMHP, use
 			fmt.Fprintf(errOut, "racecheck: %s: %v\n", b.Name, err)
 			return ExitFailure
 		}
-		rep := prog.Report(useMHP, usePrecision)
 		conc := prog.ProfileNonConcurrency(b.ProfileWorld, b.ProfileRuns, 10_000)
-		ip, err := prog.InstrumentWith(rep, conc, opts)
+		ip, err := prog.InstrumentAs(config, conc, nil)
 		if err != nil {
 			fmt.Fprintf(errOut, "racecheck: %s: %v\n", b.Name, err)
 			return ExitFailure
 		}
-		cert, _, err := ip.Certify(label)
+		cert, _, err := ip.Certify()
 		if err != nil {
 			fmt.Fprintf(errOut, "racecheck: %s: certify: %v\n", b.Name, err)
 			return ExitFailure
