@@ -21,6 +21,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/obs"
 	"repro/internal/replay"
 )
 
@@ -76,9 +77,9 @@ func run(args []string, in io.Reader, out, errOut io.Writer) int {
 	return 0
 }
 
-// jsonReport is the -json shape: LogInfo plus derived ratios, with stable
-// field names (maps marshal with sorted keys, so output is deterministic
-// for a given log).
+// jsonReport is the -json shape: the LogInfo ledger split per stream,
+// plus derived compressed bytes and ratios, with stable field names (maps
+// marshal with sorted keys, so output is deterministic for a given log).
 type jsonReport struct {
 	TotalBytes   int64            `json:"total_bytes"`
 	Input        jsonStream       `json:"input"`
@@ -98,32 +99,39 @@ type jsonStream struct {
 }
 
 func jsonInfo(info *replay.LogInfo) jsonReport {
+	input, order := streams(info.Streams)
 	return jsonReport{
-		TotalBytes:   info.TotalBytes,
-		Input:        jsonStream_(info.Input),
-		Order:        jsonStream_(info.Order),
+		TotalBytes:   info.Streams.TotalBytes,
+		Input:        input,
+		Order:        order,
 		OrderByClass: info.OrderByClass,
 		OrderByKind:  info.OrderByKind,
 		Chunks:       len(info.Chunks),
 	}
 }
 
-func jsonStream_(s replay.StreamInfo) jsonStream {
-	return jsonStream{
-		Chunks:          s.Chunks,
-		Records:         s.Records,
-		RawBytes:        s.RawBytes,
-		CompressedBytes: s.CompressedBytes,
-		WireBytes:       s.WireBytes,
-		Ratio:           s.Ratio(),
+// streams splits the ledger into its input and order streams. A stream's
+// compressed payload bytes are its wire bytes less one 13-byte header per
+// chunk; its ratio is raw over wire bytes, zero for an empty stream.
+func streams(l obs.LogStreams) (input, order jsonStream) {
+	stream := func(chunks, records, raw, wire int64) jsonStream {
+		s := jsonStream{Chunks: chunks, Records: records, RawBytes: raw,
+			CompressedBytes: wire - 13*chunks, WireBytes: wire}
+		if wire != 0 {
+			s.Ratio = float64(raw) / float64(wire)
+		}
+		return s
 	}
+	return stream(l.InputChunks, l.InputRecords, l.InputRawBytes, l.InputBytes),
+		stream(l.OrderChunks, l.OrderRecords, l.OrderRawBytes, l.OrderBytes)
 }
 
 func render(out io.Writer, info *replay.LogInfo, listChunks bool) {
 	fmt.Fprintf(out, "total         %d bytes (%d chunks + magic + end marker)\n",
-		info.TotalBytes, len(info.Chunks))
-	renderStream(out, "input", info.Input)
-	renderStream(out, "order", info.Order)
+		info.Streams.TotalBytes, len(info.Chunks))
+	input, order := streams(info.Streams)
+	renderStream(out, "input", input)
+	renderStream(out, "order", order)
 	if len(info.OrderByClass) > 0 {
 		fmt.Fprintf(out, "order records by class:\n")
 		for _, k := range sortedKeys(info.OrderByClass) {
@@ -145,9 +153,9 @@ func render(out io.Writer, info *replay.LogInfo, listChunks bool) {
 	}
 }
 
-func renderStream(out io.Writer, name string, s replay.StreamInfo) {
+func renderStream(out io.Writer, name string, s jsonStream) {
 	fmt.Fprintf(out, "%-6s stream  %d records in %d chunks, %d raw -> %d wire bytes (ratio %.2f)\n",
-		name, s.Records, s.Chunks, s.RawBytes, s.WireBytes, s.Ratio())
+		name, s.Records, s.Chunks, s.RawBytes, s.WireBytes, s.Ratio)
 }
 
 func sortedKeys(m map[string]int64) []string {

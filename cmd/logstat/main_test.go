@@ -3,12 +3,16 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/replay"
+	"repro/internal/service"
 	"repro/internal/vm"
 )
 
@@ -140,5 +144,116 @@ func TestErrors(t *testing.T) {
 	}
 	if !strings.Contains(errOut.String(), "not a chimera log") {
 		t.Errorf("corrupt file: stderr = %q, want mention of bad magic", errOut.String())
+	}
+}
+
+// tornSrc logs both streams: rnd() results are input records, the lock
+// and the spawns order records.
+const tornSrc = `
+int m;
+int g;
+void worker(int n) {
+    for (int i = 0; i < 4; i++) {
+        lock(&m);
+        g = g + rnd(10);
+        unlock(&m);
+    }
+}
+int main(void) {
+    int t1 = spawn(worker, 1);
+    int t2 = spawn(worker, 2);
+    join(t1);
+    join(t2);
+    print(g);
+    return 0;
+}
+`
+
+// A torn spool fails closed the same way in the service and in logstat:
+// a chimerad record job's spool, truncated at each chunk boundary,
+// truncated inside each chunk, or with a payload's tail zeroed, makes a
+// replay-verify job of that record end done with exit 1 and
+// replay_matches false, and makes logstat exit 1 with the same replay
+// diagnostic, since both read through the one CHIMLOG2 parser.
+func TestTornSpool(t *testing.T) {
+	e := service.NewEngine(service.EngineConfig{Shards: 1, Depth: 8, SpoolDir: t.TempDir(), JobTimeout: time.Minute})
+	defer e.Drain(time.Minute)
+	await := func(spec *service.JobSpec) service.JobView {
+		t.Helper()
+		job, err := e.Submit(spec)
+		if err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+		select {
+		case <-job.Done():
+		case <-time.After(time.Minute):
+			t.Fatalf("job %s did not finish", job.ID())
+		}
+		return job.View()
+	}
+	rec := await(&service.JobSpec{Kind: service.JobRecord, Tenant: "t", Name: "torn", Source: tornSrc, Seed: 1})
+	if rec.State != service.StateDone || rec.Result == nil || rec.Result.ExitCode != service.ExitOK {
+		t.Fatalf("record: state %s, error %q, result %+v", rec.State, rec.Error, rec.Result)
+	}
+	f, err := e.OpenLog(rec.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spool := f.Name()
+	clean, err := io.ReadAll(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := replay.Stat(bytes.NewReader(clean))
+	if err != nil {
+		t.Fatalf("clean spool: %v", err)
+	}
+	if len(info.Chunks) < 2 {
+		t.Fatalf("spool has %d chunks, want both streams", len(info.Chunks))
+	}
+
+	type damage struct {
+		name string
+		data []byte
+	}
+	var cases []damage
+	off := len("CHIMLOG2")
+	for i, c := range info.Chunks {
+		cases = append(cases,
+			damage{fmt.Sprintf("cut before chunk %d", i), clean[:off]},
+			damage{fmt.Sprintf("cut inside chunk %d", i), clean[:off+13+int(c.CompressedBytes)/2]})
+		off += 13 + int(c.CompressedBytes)
+		zeroed := append([]byte(nil), clean...)
+		tail := zeroed[off-8 : off]
+		if bytes.Equal(tail, make([]byte, 8)) {
+			t.Fatalf("chunk %d payload already ends in zeros", i)
+		}
+		copy(tail, make([]byte, 8))
+		cases = append(cases, damage{fmt.Sprintf("zeroed tail of chunk %d", i), zeroed})
+	}
+	cases = append(cases, damage{"cut before the end marker", clean[:off]})
+
+	for _, d := range cases {
+		if err := os.WriteFile(spool, d.data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		v := await(&service.JobSpec{Kind: service.JobReplayVerify, Tenant: "t", LogJob: rec.ID})
+		r := v.Result
+		if v.State != service.StateDone || r == nil || r.ExitCode != service.ExitFailure ||
+			r.ReplayMatches == nil || *r.ReplayMatches {
+			t.Errorf("%s: replay-verify state %s, result %+v; want done, exit 1, replay_matches false", d.name, v.State, r)
+			continue
+		}
+		var out, errOut bytes.Buffer
+		if code := run([]string{spool}, nil, &out, &errOut); code != 1 {
+			t.Errorf("%s: logstat = %d, want 1", d.name, code)
+			continue
+		}
+		diag := strings.TrimPrefix(errOut.String(), "logstat: "+spool+": ")
+		if !strings.HasPrefix(diag, "replay: ") || r.Stderr != "torn: replay diverged: open log stream: "+diag {
+			t.Errorf("%s: logstat says %q, replay-verify %q; want the same replay diagnostic", d.name, errOut.String(), r.Stderr)
+		}
+		t.Logf("%s: %s", d.name, strings.TrimSpace(diag))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/instrument"
-	"repro/internal/oskit"
 )
 
 // The PR's acceptance criterion on the barrier-heavy benchmarks: the MHP
@@ -53,9 +52,14 @@ func TestMHPRefinementOnBarrierBenches(t *testing.T) {
 			t.Logf("%s: weak locks %d -> %d", name, base.Table.Len(), mhpIP.Table.Len())
 
 			// Record under one seed, replay under another: still bit-exact.
-			world := func() *oskit.World { return b.ProfileWorld(0) }
-			if err := mhpIP.VerifyDeterministicReplay(world, 1234, 987654); err != nil {
-				t.Errorf("replay with MHP pruning diverged: %v", err)
+			c := mhpIP.RecordAndCheck(core.RunConfig{World: b.ProfileWorld(0), Seed: 1234, Table: mhpIP.Table}, 987654, nil, nil)
+			if !c.Matches {
+				var replayed []byte
+				if c.Replay != nil {
+					replayed = c.Replay.Output
+				}
+				t.Errorf("replay with MHP pruning diverged: record %v, replay %v\nrecorded output: %q\nreplayed output: %q",
+					c.RecordErr, c.ReplayErr, c.Record.Output, replayed)
 			}
 
 			// The pruning must be sound, not just aggressive: with the

@@ -187,10 +187,6 @@ type RunConfig struct {
 	MaxSteps int64
 	// HeapWords overrides the default VM heap size if nonzero.
 	HeapWords int64
-	// CheckLockOrder enables the weak-lock discipline assertion.
-	CheckLockOrder bool
-	// MaxThreads overrides the thread limit if nonzero.
-	MaxThreads int
 	// Sinks are additional batched event sinks (e.g. the observability
 	// layer's counters) attached to the run. Attaching any sink turns on
 	// event emission for the run.
@@ -199,15 +195,13 @@ type RunConfig struct {
 
 func (rc RunConfig) vmConfig() vm.Config {
 	return vm.Config{
-		Inputs:         vm.LiveInputs{OS: rc.World},
-		Cost:           rc.Cost,
-		Seed:           rc.Seed,
-		WL:             rc.Table,
-		MaxSteps:       rc.MaxSteps,
-		HeapWords:      rc.HeapWords,
-		CheckLockOrder: rc.CheckLockOrder,
-		MaxThreads:     rc.MaxThreads,
-		Sinks:          rc.Sinks,
+		Inputs:    vm.LiveInputs{OS: rc.World},
+		Cost:      rc.Cost,
+		Seed:      rc.Seed,
+		WL:        rc.Table,
+		MaxSteps:  rc.MaxSteps,
+		HeapWords: rc.HeapWords,
+		Sinks:     rc.Sinks,
 	}
 }
 
@@ -484,8 +478,8 @@ func Replay(p *Program, table *weaklock.Table, rep *replay.Replayer, rc RunConfi
 type Checked struct {
 	// Record is the recording run; RecordErr is its failure (Record.Err),
 	// in which case nothing was replayed and every later field is zero.
-	// Logs is the LogWriter's accounting of the CHIMLOG2 stream written
-	// to the caller's writer (zero without a writer).
+	// Logs is the LogWriter's ledger of the CHIMLOG2 stream written to
+	// the caller's writer (zero without a writer).
 	Record    *vm.Result
 	RecordErr error
 	Log       *replay.Log
@@ -525,30 +519,13 @@ type Checked struct {
 // and dynamic-check, which only reads the verdicts.
 func (ip *Instrumented) RecordAndCheck(rc RunConfig, replaySeed uint64, w io.Writer, tr *obs.Tracer) *Checked {
 	c := &Checked{table: ip.Table}
-	var cw *countWriter
-	var out io.Writer
-	if w != nil {
-		cw = &countWriter{w: w}
-		out = cw
-	}
 	sp := tr.Start("record")
 	start := time.Now()
 	var lw *replay.LogWriter
-	c.Record, c.Log, lw = ip.RecordTo(rc, out)
+	c.Record, c.Log, lw = ip.RecordTo(rc, w)
 	c.RecordWallNS = time.Since(start).Nanoseconds()
 	if lw != nil {
-		st := lw.Stats()
-		c.Logs = obs.LogStreams{
-			TotalBytes:    cw.n,
-			InputChunks:   st.InputChunks,
-			OrderChunks:   st.OrderChunks,
-			InputRecords:  st.InputRecords,
-			OrderRecords:  st.OrderRecords,
-			InputRawBytes: st.InputRawBytes,
-			OrderRawBytes: st.OrderRawBytes,
-			InputBytes:    st.InputBytes,
-			OrderBytes:    st.OrderBytes,
-		}
+		c.Logs = lw.Stats()
 	}
 	if tr != nil {
 		sp.SetAttr("makespan", c.Record.Makespan).
@@ -605,37 +582,6 @@ func (c *Checked) WeakLocks() *obs.WeakLocks {
 		}
 	}
 	return wl
-}
-
-// countWriter counts the bytes it passes on to w.
-type countWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (c *countWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	c.n += int64(n)
-	return n, err
-}
-
-// VerifyDeterministicReplay records with one seed and replays with another;
-// it returns an error unless the replay bit-matches the recording.
-func (ip *Instrumented) VerifyDeterministicReplay(world func() *oskit.World, recSeed, repSeed uint64) error {
-	rc := RunConfig{World: world(), Seed: recSeed, Table: ip.Table}
-	recRes, log, _ := ip.RecordTo(rc, nil)
-	if recRes.Err != nil {
-		return fmt.Errorf("record failed: %w", recRes.Err)
-	}
-	repRes, err := ip.Replay(log, RunConfig{World: world(), Seed: repSeed, Table: ip.Table})
-	if err != nil {
-		return fmt.Errorf("replay failed: %w", err)
-	}
-	if recRes.Hash64() != repRes.Hash64() {
-		return fmt.Errorf("replay diverged: recorded hash %x, replayed hash %x\nrecorded output: %q\nreplayed output: %q",
-			recRes.Hash64(), repRes.Hash64(), recRes.Output, repRes.Output)
-	}
-	return nil
 }
 
 // RunDeterministic executes an instrumented program under the

@@ -88,6 +88,22 @@ int main(void) {
 
 func world() *oskit.World { return oskit.NewWorld(7) }
 
+// checkReplay records ip under recSeed and replays it under repSeed; the
+// replay must bit-match the recording, or both outputs are printed.
+func checkReplay(t *testing.T, ip *Instrumented, recSeed, repSeed uint64) {
+	t.Helper()
+	c := ip.RecordAndCheck(RunConfig{World: world(), Seed: recSeed, Table: ip.Table}, repSeed, nil, nil)
+	if c.Matches {
+		return
+	}
+	var replayed []byte
+	if c.Replay != nil {
+		replayed = c.Replay.Output
+	}
+	t.Fatalf("seeds %d/%d: record %v, replay %v\nrecorded output: %q\nreplayed output: %q\nsource:\n%s",
+		recSeed, repSeed, c.RecordErr, c.ReplayErr, c.Record.Output, replayed, ip.Prog.Source)
+}
+
 // mustLoad loads src or fails the test.
 func mustLoad(t *testing.T, name, src string) *Program {
 	t.Helper()
@@ -136,9 +152,7 @@ func TestRecordReplayDeterministicNaive(t *testing.T) {
 	// Record with one seed, replay with very different seeds: the log
 	// must fully determine the outcome.
 	for _, seeds := range [][2]uint64{{1, 99}, {5, 1234}, {42, 0}} {
-		if err := ip.VerifyDeterministicReplay(world, seeds[0], seeds[1]); err != nil {
-			t.Fatalf("seeds %v: %v", seeds, err)
-		}
+		checkReplay(t, ip, seeds[0], seeds[1])
 	}
 }
 
@@ -178,9 +192,7 @@ func TestFunctionLocksViaProfile(t *testing.T) {
 		t.Errorf("expected function-locks for barrier-separated phases; table: %+v, report: %+v",
 			counts, ip.Report.FuncLockOf)
 	}
-	if err := ip.VerifyDeterministicReplay(world, 3, 888); err != nil {
-		t.Fatalf("replay: %v\nsource:\n%s", err, ip.Prog.Source)
-	}
+	checkReplay(t, ip, 3, 888)
 	// No weak-lock timeouts expected (paper: none observed).
 	r := ip.Prog.RunNative(RunConfig{World: world(), Seed: 11, Table: ip.Table})
 	if r.Err != nil {
@@ -212,9 +224,7 @@ func TestLoopLocksWithPreciseBounds(t *testing.T) {
 	if !precise {
 		t.Errorf("no precise loop bounds found; sites: %+v", ip.Report.Sites)
 	}
-	if err := ip.VerifyDeterministicReplay(world, 9, 321); err != nil {
-		t.Fatalf("replay: %v\nsource:\n%s", err, ip.Prog.Source)
-	}
+	checkReplay(t, ip, 9, 321)
 	// The partitioned loops must actually run concurrently: contention on
 	// the ranged loop-locks should be far below full serialization.
 	races, r := CheckDynamicRaces(ip.Prog, ip.Table, RunConfig{World: world(), Seed: 5, Table: ip.Table})

@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/instrument"
 	"repro/internal/obs"
 	"repro/internal/oskit"
+	"repro/internal/replay"
 )
 
 // sameStoreRace has two threads store the same constant to one global:
@@ -79,5 +81,48 @@ func TestRecordAndCheckStreamAndSpans(t *testing.T) {
 	}
 	if ev := stages[2].Attrs.Get("events"); ev == 0 || ev != c.Events.Emitted {
 		t.Errorf("dynamic-check events attribute %d, replay stream %d", ev, c.Events.Emitted)
+	}
+}
+
+// What the recorder's LogWriter booked is what a reader of the stream
+// books: on real benchmarks, including multi-chunk input and order
+// streams, Stat over the bytes RecordAndCheck streamed returns c.Logs,
+// and c.Logs counts every byte.
+func TestStatMatchesRecordedLedger(t *testing.T) {
+	var multiInput, multiOrder bool
+	for _, name := range []string{"aget", "pbzip2", "water"} {
+		b := bench.ByName(name)
+		prog, err := Load(name, b.FullSource())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, label := range []string{"instr", "all+mhp"} {
+			config, _ := ParseConfig(label)
+			ip, err := prog.InstrumentAs(config, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			rc := RunConfig{World: b.EvalWorld(bench.DefaultWorkers), Seed: DefaultSeed, Table: ip.Table}
+			c := ip.RecordAndCheck(rc, DefaultReplaySeed, &buf, nil)
+			if c.RecordErr != nil || !c.Matches {
+				t.Fatalf("%s/%s: record %v, replay %v", name, label, c.RecordErr, c.ReplayErr)
+			}
+			if c.Logs.TotalBytes != int64(buf.Len()) {
+				t.Errorf("%s/%s: ledger books %d bytes, the stream has %d", name, label, c.Logs.TotalBytes, buf.Len())
+			}
+			info, err := replay.Stat(&buf)
+			if err != nil {
+				t.Fatalf("%s/%s: Stat: %v", name, label, err)
+			}
+			if info.Streams != c.Logs {
+				t.Errorf("%s/%s: Stat ledger %+v, writer's %+v", name, label, info.Streams, c.Logs)
+			}
+			multiInput = multiInput || c.Logs.InputChunks > 1
+			multiOrder = multiOrder || c.Logs.OrderChunks > 1
+		}
+	}
+	if !multiInput || !multiOrder {
+		t.Errorf("no multi-chunk stream covered (input %v, order %v)", multiInput, multiOrder)
 	}
 }

@@ -17,11 +17,12 @@ import (
 // witness objects are all in that state cannot be a real race: the
 // pair's racing write is one of its own two summary-visible accesses.
 //
-// The timeline mirrors the MHP fork/join analysis' main indexing — the
-// top-level statement order of main is a sequential timeline; each
-// statement's call closure (spawn edges excluded) tells which functions
-// run as part of it — but needs only one event: the smallest top-level
-// index at which a spawn may execute. Writes are classified against it:
+// The timeline is the one the MHP fork/join analysis places its events on
+// (relay.Report.MainTimeline): the top-level statement order of main is a
+// sequential timeline; each statement's call closure (spawn edges
+// excluded) tells which functions run as part of it. This check needs
+// only one event on it: the smallest top-level index at which a spawn may
+// execute. Writes are classified against it:
 //
 //   - a write materialized at a non-main root runs on a child thread —
 //     post-spawn by definition;
@@ -40,13 +41,11 @@ type timeline struct {
 	rep  *relay.Report
 	main *types.FuncInfo
 
-	// topIdx maps every AST node in main's body to the index of the
-	// top-level statement containing it.
+	// topIdx and reach are main's timeline (relay.Report.MainTimeline):
+	// the top-level statement index of every node in main's body, and
+	// per function the top-level statements whose call closure reaches it.
 	topIdx map[ast.NodeID]int
-
-	// reach maps a function to the set of main top-level statement
-	// indices whose call closure (call edges only) reaches it.
-	reach map[*types.FuncInfo]map[int]bool
+	reach  map[*types.FuncInfo]map[int]bool
 
 	// firstSpawn is the smallest main top-level index under which a spawn
 	// may execute; -1 means "unknown — treat everything as post-spawn".
@@ -58,67 +57,10 @@ type timeline struct {
 }
 
 func newTimeline(rep *relay.Report, main *types.FuncInfo) *timeline {
-	tl := &timeline{
-		rep:    rep,
-		main:   main,
-		topIdx: make(map[ast.NodeID]int),
-		reach:  make(map[*types.FuncInfo]map[int]bool),
-	}
-	tl.indexMain()
+	tl := &timeline{rep: rep, main: main}
+	tl.topIdx, tl.reach = rep.MainTimeline(main)
 	tl.findFirstSpawn()
 	return tl
-}
-
-// indexMain assigns every node in main's body its top-level statement
-// index and computes, per function, the set of top-level statements
-// whose call closure reaches it (spawn edges excluded: a spawned
-// function's work belongs to the child thread, not the statement).
-func (tl *timeline) indexMain() {
-	for i, s := range tl.main.Decl.Body.Stmts {
-		idx := i
-		var direct []*types.FuncInfo
-		ast.Inspect(s, func(n ast.Node) bool {
-			tl.topIdx[n.ID()] = idx
-			if call, ok := n.(*ast.Call); ok {
-				direct = append(direct, tl.callTargets(call)...)
-			}
-			return true
-		})
-		seen := make(map[*types.FuncInfo]bool)
-		var dfs func(f *types.FuncInfo)
-		dfs = func(f *types.FuncInfo) {
-			if f == nil || seen[f] {
-				return
-			}
-			seen[f] = true
-			for _, callee := range tl.rep.CG.CalleesOf(f) {
-				dfs(callee)
-			}
-		}
-		for _, f := range direct {
-			dfs(f)
-		}
-		for f := range seen {
-			set := tl.reach[f]
-			if set == nil {
-				set = make(map[int]bool)
-				tl.reach[f] = set
-			}
-			set[idx] = true
-		}
-	}
-}
-
-// callTargets resolves the non-builtin functions a call may invoke.
-func (tl *timeline) callTargets(call *ast.Call) []*types.FuncInfo {
-	info := tl.rep.Info
-	if target := info.CallTargets[call.ID()]; target != nil {
-		if target.Kind == types.ObjFunc {
-			return []*types.FuncInfo{info.Funcs[target.Name]}
-		}
-		return nil // builtin
-	}
-	return tl.rep.PTA.CallTargets[call.ID()]
 }
 
 // findFirstSpawn places every spawn edge on main's timeline: a site in

@@ -529,29 +529,8 @@ func (pm *phaseMap) assignExpr(ba *barrierAnalysis, e ast.Expr, ps []phasePos) {
 }
 
 func (pm *phaseMap) assignMulti(ba *barrierAnalysis, n ast.Node, ps []phasePos) {
-	var direct []*types.FuncInfo
-	ast.Inspect(n, func(x ast.Node) bool {
-		pm.pos[x.ID()] = append(pm.pos[x.ID()], ps...)
-		if call, ok := x.(*ast.Call); ok {
-			direct = append(direct, ba.fj.callTargets(call)...)
-		}
-		return true
-	})
-	seen := make(map[*types.FuncInfo]bool)
-	var dfs func(fn *types.FuncInfo)
-	dfs = func(fn *types.FuncInfo) {
-		if fn == nil || seen[fn] {
-			return
-		}
-		seen[fn] = true
-		for _, callee := range ba.rep.CG.CalleesOf(fn) {
-			dfs(callee)
-		}
-	}
-	for _, fn := range direct {
-		dfs(fn)
-	}
-	for fn := range seen {
+	visit := func(x ast.Node) { pm.pos[x.ID()] = append(pm.pos[x.ID()], ps...) }
+	for fn := range ba.rep.CallClosure(n, visit) {
 		pm.fnPos[fn] = append(pm.fnPos[fn], ps...)
 	}
 }

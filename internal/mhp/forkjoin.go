@@ -49,13 +49,11 @@ type forkJoin struct {
 	rep  *relay.Report
 	main *types.FuncInfo
 
-	// topIdx maps every AST node in main's body to the index of the
-	// top-level statement containing it.
+	// topIdx and reach are main's timeline (relay.Report.MainTimeline):
+	// the top-level statement index of every node in main's body, and
+	// per function the top-level statements whose call closure reaches it.
 	topIdx map[ast.NodeID]int
-
-	// reach maps a function to the set of main top-level statement
-	// indices whose call closure (call edges only) reaches it.
-	reach map[*types.FuncInfo]map[int]bool
+	reach  map[*types.FuncInfo]map[int]bool
 
 	// spawnSites lists, per thread root, its spawn call sites with the
 	// enclosing function.
@@ -82,8 +80,6 @@ func newForkJoin(rep *relay.Report) *forkJoin {
 	fj := &forkJoin{
 		rep:        rep,
 		main:       rep.Info.Funcs["main"],
-		topIdx:     make(map[ast.NodeID]int),
-		reach:      make(map[*types.FuncInfo]map[int]bool),
 		spawnSites: make(map[*types.FuncInfo][]spawnSite),
 		minSpawn:   make(map[*types.FuncInfo]int),
 		joinAll:    make(map[*types.FuncInfo]int),
@@ -91,63 +87,10 @@ func newForkJoin(rep *relay.Report) *forkJoin {
 	if fj.main == nil {
 		return fj
 	}
-	fj.indexMain()
+	fj.topIdx, fj.reach = rep.MainTimeline(fj.main)
 	fj.collectSpawns()
 	fj.proveJoins()
 	return fj
-}
-
-// indexMain assigns every node in main's body its top-level statement
-// index and computes, per top-level statement, which functions its call
-// closure reaches.
-func (fj *forkJoin) indexMain() {
-	for i, s := range fj.main.Decl.Body.Stmts {
-		idx := i
-		var direct []*types.FuncInfo
-		ast.Inspect(s, func(n ast.Node) bool {
-			fj.topIdx[n.ID()] = idx
-			if call, ok := n.(*ast.Call); ok {
-				direct = append(direct, fj.callTargets(call)...)
-			}
-			return true
-		})
-		// Closure over call edges (spawn edges excluded: the spawned
-		// function's execution is not part of this statement's work).
-		seen := make(map[*types.FuncInfo]bool)
-		var dfs func(f *types.FuncInfo)
-		dfs = func(f *types.FuncInfo) {
-			if f == nil || seen[f] {
-				return
-			}
-			seen[f] = true
-			for _, callee := range fj.rep.CG.CalleesOf(f) {
-				dfs(callee)
-			}
-		}
-		for _, f := range direct {
-			dfs(f)
-		}
-		for f := range seen {
-			set := fj.reach[f]
-			if set == nil {
-				set = make(map[int]bool)
-				fj.reach[f] = set
-			}
-			set[idx] = true
-		}
-	}
-}
-
-// callTargets resolves the non-builtin functions a call may invoke.
-func (fj *forkJoin) callTargets(call *ast.Call) []*types.FuncInfo {
-	info := fj.rep.Info
-	if target := info.CallTargets[call.ID()]; target != nil {
-		if target.Kind == types.ObjFunc {
-			return []*types.FuncInfo{info.Funcs[target.Name]}
-		}
-		return nil // builtin
-	}
-	return fj.rep.PTA.CallTargets[call.ID()]
 }
 
 // collectSpawns groups the call graph's spawn edges by site and computes

@@ -245,11 +245,13 @@ type Events struct {
 	Syncs   int64 `json:"syncs"`
 }
 
-// LogStreams is the CHIMLOG2 stream section, from the recording's
-// LogWriter: per-stream chunk/record counts, raw (uncompressed) payload
-// bytes, and compressed wire bytes including the 13-byte chunk headers.
-// InputBytes+OrderBytes plus the 8-byte magic and 13-byte end marker is
-// the whole stream (TotalBytes).
+// LogStreams is the ledger of one CHIMLOG2 stream: per-stream chunk and
+// record counts, raw (uncompressed) payload bytes, and compressed wire
+// bytes including the 13-byte chunk headers. InputBytes+OrderBytes plus
+// the 8-byte magic and 13-byte end marker is the whole stream
+// (TotalBytes). replay.LogWriter books it as it writes (Stats) and
+// replay.Stat as it reads, so the two are equal for any stream the writer
+// wrote; it is also the metrics report's log section.
 type LogStreams struct {
 	TotalBytes    int64 `json:"total_bytes"`
 	InputChunks   int64 `json:"input_chunks"`

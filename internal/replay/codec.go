@@ -26,9 +26,11 @@ package replay
 // records in commit order as they happen (LogWriter) and the reader can
 // decode incrementally (LogCursor) — neither side ever materializes the
 // whole log, and each chunk's integrity is checked before any of its
-// records are trusted. Chunks are homogeneous by kind, so compressed
-// bytes are attributable to the input vs order stream (the harness's
-// record_log_bytes / order_log_bytes metrics).
+// records are trusted. LogCursor is the only parser of the format: ReadLog,
+// the stream replayer and Stat all read through it. Chunks are homogeneous
+// by kind, so compressed bytes are attributable to the input vs order
+// stream; both sides account for them in one ledger, obs.LogStreams (the
+// harness's record_log_bytes / order_log_bytes metrics).
 
 import (
 	"bytes"
@@ -40,6 +42,7 @@ import (
 	"math"
 
 	"repro/internal/minic/types"
+	"repro/internal/obs"
 	"repro/internal/vm"
 )
 
@@ -108,6 +111,31 @@ const (
 	chunkEnd   byte = 0xFF
 )
 
+// chunkHeaderLen is the size of a chunk header, and of the end marker.
+const chunkHeaderLen = 13
+
+// chunkHeader is a decoded chunk header: the kind byte, the uncompressed
+// and compressed payload lengths, and the CRC of the compressed payload.
+type chunkHeader struct {
+	kind            byte
+	ulen, clen, crc uint32
+}
+
+// bookChunk adds one chunk of kind, with raw uncompressed payload bytes
+// and wire bytes on the stream (header plus compressed payload), to its
+// stream's counters in s. Records and TotalBytes are booked by the caller.
+func bookChunk(s *obs.LogStreams, kind byte, raw, wire int64) {
+	if kind == chunkInput {
+		s.InputChunks++
+		s.InputRawBytes += raw
+		s.InputBytes += wire
+	} else {
+		s.OrderChunks++
+		s.OrderRawBytes += raw
+		s.OrderBytes += wire
+	}
+}
+
 // chunkTarget is the uncompressed payload size at which a pending chunk is
 // flushed. Small enough that a crash loses little, large enough that gzip
 // has context to work with: each chunk restarts the deflate window, so a
@@ -132,28 +160,10 @@ type LogWriter struct {
 	ordBuf  bytes.Buffer // pending uncompressed order records
 	zbuf    bytes.Buffer
 	zw      *gzip.Writer
-	inBytes int64 // compressed bytes written for input chunks (incl. headers)
-	orBytes int64
-	stats   StreamStats
+	stats   obs.LogStreams // the ledger of what was written
 	started bool
 	closed  bool
 	err     error
-}
-
-// StreamStats summarizes what a LogWriter emitted, per stream: record and
-// chunk counts, raw (uncompressed) payload bytes, and compressed wire
-// bytes including each chunk's 13-byte header. The wire byte fields equal
-// InputBytesWritten/OrderBytesWritten; the whole stream adds the 8-byte
-// magic and the 13-byte end marker on top.
-type StreamStats struct {
-	InputRecords  int64
-	OrderRecords  int64
-	InputChunks   int64
-	OrderChunks   int64
-	InputRawBytes int64
-	OrderRawBytes int64
-	InputBytes    int64
-	OrderBytes    int64
 }
 
 // NewLogWriter returns a streaming writer over w.
@@ -218,11 +228,9 @@ func (lw *LogWriter) Close() error {
 	lw.flush(chunkInput)
 	lw.flush(chunkOrder)
 	if lw.err == nil {
-		var hdr [13]byte
+		var hdr [chunkHeaderLen]byte
 		hdr[0] = chunkEnd
-		if _, err := lw.w.Write(hdr[:]); err != nil {
-			lw.err = err
-		}
+		lw.write(hdr[:])
 	}
 	lw.closed = true
 	return lw.err
@@ -230,15 +238,17 @@ func (lw *LogWriter) Close() error {
 
 // InputBytesWritten returns the compressed bytes (payload + chunk headers)
 // written so far for the input stream.
-func (lw *LogWriter) InputBytesWritten() int64 { return lw.inBytes }
+func (lw *LogWriter) InputBytesWritten() int64 { return lw.stats.InputBytes }
 
 // OrderBytesWritten returns the compressed bytes written so far for the
 // order stream.
-func (lw *LogWriter) OrderBytesWritten() int64 { return lw.orBytes }
+func (lw *LogWriter) OrderBytesWritten() int64 { return lw.stats.OrderBytes }
 
-// Stats returns the per-stream accounting of what was written so far
-// (complete only after Close, which flushes the pending chunks).
-func (lw *LogWriter) Stats() StreamStats { return lw.stats }
+// Stats returns the ledger of what was written so far: per-stream record
+// and chunk counts, raw payload bytes and wire bytes, and in TotalBytes
+// every byte the underlying writer took. It is complete only after Close,
+// which flushes the pending chunks and writes the end marker.
+func (lw *LogWriter) Stats() obs.LogStreams { return lw.stats }
 
 // Err returns the first write error, if any.
 func (lw *LogWriter) Err() error { return lw.err }
@@ -248,9 +258,17 @@ func (lw *LogWriter) start() {
 		return
 	}
 	lw.started = true
-	if _, err := lw.w.Write(logMagic); err != nil {
+	lw.write(logMagic)
+}
+
+// write passes p to the underlying writer and books the bytes it took.
+func (lw *LogWriter) write(p []byte) bool {
+	n, err := lw.w.Write(p)
+	lw.stats.TotalBytes += int64(n)
+	if err != nil {
 		lw.err = err
 	}
+	return err == nil
 }
 
 // flush compresses and emits the pending buffer of the given kind, if any.
@@ -273,32 +291,15 @@ func (lw *LogWriter) flush(kind byte) {
 		lw.err = err
 		return
 	}
-	var hdr [13]byte
+	var hdr [chunkHeaderLen]byte
 	hdr[0] = kind
 	binary.LittleEndian.PutUint32(hdr[1:5], uint32(buf.Len()))
 	binary.LittleEndian.PutUint32(hdr[5:9], uint32(lw.zbuf.Len()))
 	binary.LittleEndian.PutUint32(hdr[9:13], crc32.ChecksumIEEE(lw.zbuf.Bytes()))
-	n1, err := lw.w.Write(hdr[:])
-	if err != nil {
-		lw.err = err
+	if !lw.write(hdr[:]) || !lw.write(lw.zbuf.Bytes()) {
 		return
 	}
-	n2, err := lw.w.Write(lw.zbuf.Bytes())
-	if err != nil {
-		lw.err = err
-		return
-	}
-	if kind == chunkInput {
-		lw.inBytes += int64(n1 + n2)
-		lw.stats.InputChunks++
-		lw.stats.InputRawBytes += int64(buf.Len())
-		lw.stats.InputBytes = lw.inBytes
-	} else {
-		lw.orBytes += int64(n1 + n2)
-		lw.stats.OrderChunks++
-		lw.stats.OrderRawBytes += int64(buf.Len())
-		lw.stats.OrderBytes = lw.orBytes
-	}
+	bookChunk(&lw.stats, kind, int64(buf.Len()), int64(len(hdr)+lw.zbuf.Len()))
 	buf.Reset()
 }
 
@@ -323,14 +324,14 @@ type StreamRecord struct {
 
 // LogCursor incrementally decodes a chunked log from r: one chunk is
 // buffered (and CRC-verified) at a time, and Next yields records until the
-// end marker. It is the io.Reader replay cursor underneath ReadLog and
-// NewStreamReplayer.
+// end marker. It is the only CHIMLOG2 parser: ReadLog, NewStreamReplayer
+// and Stat all read through it.
 type LogCursor struct {
 	r       io.Reader
 	started bool
 	done    bool
 	err     error
-	kind    byte
+	hdr     chunkHeader // the current chunk's header
 	words   *wordReader // current chunk payload
 }
 
@@ -365,7 +366,7 @@ func (c *LogCursor) fail(format string, args ...any) (StreamRecord, error) {
 
 func (c *LogCursor) decodeRecord() (StreamRecord, error) {
 	wr := c.words
-	switch c.kind {
+	switch c.hdr.kind {
 	case chunkInput:
 		rec := StreamRecord{IsInput: true, Tid: int(wr.next())}
 		rec.Input.Op = types.BuiltinOp(wr.next())
@@ -400,7 +401,7 @@ func (c *LogCursor) decodeRecord() (StreamRecord, error) {
 		}
 		return StreamRecord{Key: key, Order: orec}, nil
 	}
-	return c.fail("internal: bad chunk kind %d", c.kind)
+	return c.fail("internal: bad chunk kind %d", c.hdr.kind)
 }
 
 // nextChunk reads, verifies, and decompresses the next chunk into c.words.
@@ -416,7 +417,7 @@ func (c *LogCursor) nextChunk() error {
 		}
 		c.started = true
 	}
-	var hdr [13]byte
+	var hdr [chunkHeaderLen]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
 		return fmt.Errorf("replay: truncated log (chunk header): %w", err)
 	}
@@ -463,7 +464,7 @@ func (c *LogCursor) nextChunk() error {
 	if rbuf.Len() != int(ulen) {
 		return fmt.Errorf("replay: chunk length mismatch (got %d, want %d)", rbuf.Len(), ulen)
 	}
-	c.kind = kind
+	c.hdr = chunkHeader{kind: kind, ulen: ulen, clen: clen, crc: crc}
 	c.words = &wordReader{r: bytes.NewReader(rbuf.Bytes())}
 	return nil
 }
@@ -473,8 +474,7 @@ func (c *LogCursor) nextChunk() error {
 
 // WriteTo writes the whole log to w in the chunked format.
 func (l *Log) WriteTo(w io.Writer) (int64, error) {
-	cw := &countingWriter{w: w}
-	lw := NewLogWriter(cw)
+	lw := NewLogWriter(w)
 	for _, tid := range l.sortedInputTids() {
 		for _, rec := range l.Inputs[tid] {
 			lw.Input(tid, rec)
@@ -485,21 +485,8 @@ func (l *Log) WriteTo(w io.Writer) (int64, error) {
 			lw.Order(key, rec)
 		}
 	}
-	if err := lw.Close(); err != nil {
-		return cw.n, err
-	}
-	return cw.n, nil
-}
-
-type countingWriter struct {
-	w io.Writer
-	n int64
-}
-
-func (cw *countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += int64(n)
-	return n, err
+	err := lw.Close()
+	return lw.Stats().TotalBytes, err
 }
 
 // ReadLog parses a log written by WriteTo (or streamed by LogWriter).

@@ -100,9 +100,26 @@ func chunkStream(order bool, payload []byte) []byte {
 	return buf.Bytes()
 }
 
+// checkStat requires Stat to accept exactly the stream ReadLog accepted
+// (l, err), failing with the same error, and to count the records l holds.
+func checkStat(t *testing.T, data []byte, l *Log, err error) {
+	t.Helper()
+	info, serr := Stat(bytes.NewReader(data))
+	if (serr == nil) != (err == nil) || (err != nil && serr.Error() != err.Error()) {
+		t.Fatalf("ReadLog error %v, Stat error %v", err, serr)
+	}
+	if err != nil {
+		return
+	}
+	if info.Streams.InputRecords != int64(l.InputCount()) || info.Streams.OrderRecords != int64(l.OrderCount()) {
+		t.Fatalf("Stat counted %d input and %d order records, the log holds %d and %d",
+			info.Streams.InputRecords, info.Streams.OrderRecords, l.InputCount(), l.OrderCount())
+	}
+}
+
 // checkChunkPayload wraps payload in one CRC-valid input or order chunk:
-// ReadLog and NewStreamReplayer must never panic, must agree on what they
-// accept, and every accepted log must round-trip through WriteTo.
+// ReadLog, NewStreamReplayer and Stat must never panic, must agree on what
+// they accept, and every accepted log must round-trip through WriteTo.
 func checkChunkPayload(t *testing.T, order bool, payload []byte) {
 	t.Helper()
 	data := chunkStream(order, payload)
@@ -110,6 +127,7 @@ func checkChunkPayload(t *testing.T, order bool, payload []byte) {
 	if _, serr := NewStreamReplayer(bytes.NewReader(data), vm.CostModel{}); (serr == nil) != (err == nil) {
 		t.Fatalf("ReadLog error %v, NewStreamReplayer error %v", err, serr)
 	}
+	checkStat(t, data, l, err)
 	if err != nil {
 		return
 	}
@@ -159,7 +177,9 @@ func FuzzDecodeOrder(f *testing.F) {
 }
 
 // FuzzReadLog drives the chunked container format: corrupt streams must
-// error (CRC, lengths, framing), and accepted streams must round-trip.
+// error (CRC, lengths, framing), Stat must accept exactly what ReadLog
+// accepts and count the same records, and accepted streams must
+// round-trip.
 func FuzzReadLog(f *testing.F) {
 	var real bytes.Buffer
 	if _, err := realLog(f).WriteTo(&real); err != nil {
@@ -180,6 +200,7 @@ func FuzzReadLog(f *testing.F) {
 	f.Add([]byte("CHIMLOG1junk"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		l, err := ReadLog(bytes.NewReader(data))
+		checkStat(t, data, l, err)
 		if err != nil {
 			return
 		}

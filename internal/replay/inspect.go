@@ -1,18 +1,15 @@
 package replay
 
-// Log inspection: Stat walks a CHIMLOG2 stream chunk by chunk — verifying
-// every header, CRC and payload exactly like the replay cursor would —
-// and reports the per-stream breakdown (chunks, records, raw vs
-// compressed bytes) without materializing the log. It is the engine
+// Log inspection: Stat walks a CHIMLOG2 stream chunk by chunk through the
+// replay cursor — so every header, CRC and payload is verified by the one
+// parser replay itself trusts — and reports the per-stream ledger and the
+// order-record breakdown without materializing the log. It is the engine
 // behind cmd/logstat.
 
 import (
-	"bytes"
-	"compress/gzip"
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
 	"io"
+
+	"repro/internal/obs"
 )
 
 // ChunkInfo describes one chunk of a log stream.
@@ -24,23 +21,11 @@ type ChunkInfo struct {
 	CRC             uint32
 }
 
-// StreamInfo aggregates one stream's chunks.
-type StreamInfo struct {
-	Chunks          int64
-	Records         int64
-	RawBytes        int64
-	CompressedBytes int64 // payload bytes only
-	WireBytes       int64 // payload + 13-byte chunk headers (matches LogWriter's byte counters)
-}
-
 // LogInfo is the full breakdown of one CHIMLOG2 stream.
 type LogInfo struct {
-	// TotalBytes is the whole stream: magic, chunks with headers, and the
-	// end marker.
-	TotalBytes int64
-
-	Input StreamInfo
-	Order StreamInfo
+	// Streams is the ledger of the stream as read; for a stream a
+	// LogWriter wrote it equals the writer's Stats.
+	Streams obs.LogStreams
 
 	// OrderByClass counts order records per sync class name
 	// ("mutex", "barrier", "cond", "weaklock", "spawn").
@@ -54,146 +39,48 @@ type LogInfo struct {
 	Chunks []ChunkInfo
 }
 
-// Ratio returns the stream's compression ratio (raw over wire bytes), or
-// zero for an empty stream.
-func (s StreamInfo) Ratio() float64 {
-	if s.WireBytes == 0 {
-		return 0
-	}
-	return float64(s.RawBytes) / float64(s.WireBytes)
-}
-
 // Stat reads a chunked log from r and returns its breakdown. Every chunk
 // is CRC-verified and decompressed, and every record decoded, so a nil
-// error also certifies the stream is well-formed end to end.
+// error also certifies the stream is well-formed end to end: Stat accepts
+// exactly the streams ReadLog accepts, with the same errors.
 func Stat(r io.Reader) (*LogInfo, error) {
-	cr := &countingReader{r: r}
+	c := NewLogCursor(r)
 	info := &LogInfo{
 		OrderByClass: make(map[string]int64),
 		OrderByKind:  make(map[string]int64),
 	}
-	magic := make([]byte, len(logMagic))
-	if _, err := io.ReadFull(cr, magic); err != nil || !bytes.Equal(magic, logMagic) {
-		return nil, fmt.Errorf("replay: not a chimera log")
-	}
+	st := &info.Streams
 	for {
-		var hdr [13]byte
-		if _, err := io.ReadFull(cr, hdr[:]); err != nil {
-			return nil, fmt.Errorf("replay: truncated log (chunk header): %w", err)
-		}
-		kind := hdr[0]
-		ulen := binary.LittleEndian.Uint32(hdr[1:5])
-		clen := binary.LittleEndian.Uint32(hdr[5:9])
-		crc := binary.LittleEndian.Uint32(hdr[9:13])
-		if kind == chunkEnd {
-			if ulen != 0 || clen != 0 || crc != 0 {
-				return nil, fmt.Errorf("replay: corrupt end marker")
-			}
-			var b [1]byte
-			if n, _ := cr.Read(b[:]); n != 0 {
-				return nil, fmt.Errorf("replay: trailing garbage after log end")
-			}
-			info.TotalBytes = cr.n
+		err := c.nextChunk()
+		if err == io.EOF {
+			st.TotalBytes += int64(len(logMagic)) + chunkHeaderLen
 			return info, nil
 		}
-		if kind != chunkInput && kind != chunkOrder {
-			return nil, fmt.Errorf("replay: unknown chunk kind %d", kind)
-		}
-		if ulen == 0 || ulen > maxChunkLen || ulen%8 != 0 || clen == 0 || clen > maxChunkLen {
-			return nil, fmt.Errorf("replay: corrupt chunk header (ulen=%d clen=%d)", ulen, clen)
-		}
-		comp := make([]byte, clen)
-		if _, err := io.ReadFull(cr, comp); err != nil {
-			return nil, fmt.Errorf("replay: truncated chunk: %w", err)
-		}
-		if got := crc32.ChecksumIEEE(comp); got != crc {
-			return nil, fmt.Errorf("replay: chunk CRC mismatch (got %08x, want %08x)", got, crc)
-		}
-		raw, err := gunzipChunk(comp, ulen)
 		if err != nil {
 			return nil, err
 		}
-		ci := ChunkInfo{RawBytes: int64(ulen), CompressedBytes: int64(clen), CRC: crc}
-		wr := &wordReader{r: bytes.NewReader(raw)}
-		switch kind {
-		case chunkInput:
-			ci.Kind = "input"
-			for wr.r.Len() > 0 {
-				wr.next() // tid
-				wr.next() // op
-				wr.next() // val
-				dn := wr.next()
-				if wr.err != nil {
-					return nil, fmt.Errorf("replay: truncated input record")
-				}
-				if dn < 0 || dn > wr.remaining() {
-					return nil, fmt.Errorf("replay: corrupt input record (data length %d, %d words remain)", dn, wr.remaining())
-				}
-				for k := int64(0); k < dn; k++ {
-					wr.next()
-				}
-				ci.Records++
-			}
-			info.Input.Chunks++
-			info.Input.Records += ci.Records
-			info.Input.RawBytes += ci.RawBytes
-			info.Input.CompressedBytes += ci.CompressedBytes
-			info.Input.WireBytes += ci.CompressedBytes + int64(len(hdr))
-		case chunkOrder:
+		h := c.hdr
+		ci := ChunkInfo{Kind: "input", RawBytes: int64(h.ulen), CompressedBytes: int64(h.clen), CRC: h.crc}
+		if h.kind == chunkOrder {
 			ci.Kind = "order"
-			for wr.r.Len() > 0 {
-				key, err := decodeSyncKey(wr)
-				if err != nil {
-					return nil, err
-				}
-				rec, err := decodeOrderRec(wr)
-				if err != nil {
-					return nil, err
-				}
-				if wr.err != nil {
-					return nil, fmt.Errorf("replay: truncated order record")
-				}
-				info.OrderByClass[key.Class.String()]++
-				info.OrderByKind[rec.Kind.String()]++
-				ci.Records++
-			}
-			info.Order.Chunks++
-			info.Order.Records += ci.Records
-			info.Order.RawBytes += ci.RawBytes
-			info.Order.CompressedBytes += ci.CompressedBytes
-			info.Order.WireBytes += ci.CompressedBytes + int64(len(hdr))
 		}
+		for c.words.r.Len() > 0 {
+			rec, err := c.decodeRecord()
+			if err != nil {
+				return nil, err
+			}
+			ci.Records++
+			if rec.IsInput {
+				st.InputRecords++
+				continue
+			}
+			st.OrderRecords++
+			info.OrderByClass[rec.Key.Class.String()]++
+			info.OrderByKind[rec.Order.Kind.String()]++
+		}
+		wire := chunkHeaderLen + ci.CompressedBytes
+		bookChunk(st, h.kind, ci.RawBytes, wire)
+		st.TotalBytes += wire
 		info.Chunks = append(info.Chunks, ci)
 	}
-}
-
-// gunzipChunk decompresses one verified chunk payload, enforcing the
-// declared uncompressed length.
-func gunzipChunk(comp []byte, ulen uint32) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(comp))
-	if err != nil {
-		return nil, fmt.Errorf("replay: bad chunk stream: %w", err)
-	}
-	rbuf := bytes.NewBuffer(make([]byte, 0, ulen))
-	if _, err := io.Copy(rbuf, io.LimitReader(zr, int64(ulen)+1)); err != nil {
-		return nil, fmt.Errorf("replay: bad chunk stream: %w", err)
-	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("replay: bad chunk stream: %w", err)
-	}
-	if rbuf.Len() != int(ulen) {
-		return nil, fmt.Errorf("replay: chunk length mismatch (got %d, want %d)", rbuf.Len(), ulen)
-	}
-	return rbuf.Bytes(), nil
-}
-
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (cr *countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.n += int64(n)
-	return n, err
 }

@@ -20,36 +20,23 @@ import (
 
 // ObserveOptions parameterizes one observed pipeline run. The zero value
 // selects the evaluation defaults (config "all", epoch checker, Table 2's
-// worker count and seeds, the VM's default heap).
+// record seed). Every run evaluates in a world of bench.DefaultWorkers
+// workers, replays under core.DefaultReplaySeed, and loads through a fresh
+// analysis cache, so the report's cache section reflects exactly this run.
 type ObserveOptions struct {
 	// Config is the instrumentation configuration label
 	// (core.ParseConfig). Default "all".
 	Config string
 
-	// Workers is the evaluation-world worker count. Default
-	// bench.DefaultWorkers.
-	Workers int
-
 	// Parallel is the analysis worker count (relay wave scheduling).
 	// Default 1.
 	Parallel int
 
-	Seed       uint64 // record schedule seed (default core.DefaultSeed)
-	ReplaySeed uint64 // replay schedule seed (default core.DefaultReplaySeed)
+	Seed uint64 // record schedule seed (default core.DefaultSeed)
 
 	// Checker selects the dynamic race checker: "epoch" (default) or
 	// "vector".
 	Checker string
-
-	// Cache, when non-nil, is the shared analysis cache to load through;
-	// a fresh cache is used otherwise (so the report's cache section
-	// reflects exactly this run).
-	Cache *core.Cache
-
-	// Clock, when non-nil, drives the tracer instead of the wall clock —
-	// the determinism tests inject a virtual clock so even span
-	// durations are reproducible.
-	Clock func() int64
 }
 
 // ObserveTarget is the program under observation: its source plus the
@@ -86,23 +73,14 @@ func (o *ObserveOptions) fill() {
 	if o.Config == "" {
 		o.Config = "all"
 	}
-	if o.Workers == 0 {
-		o.Workers = bench.DefaultWorkers
-	}
 	if o.Parallel == 0 {
 		o.Parallel = 1
 	}
 	if o.Seed == 0 {
 		o.Seed = core.DefaultSeed
 	}
-	if o.ReplaySeed == 0 {
-		o.ReplaySeed = core.DefaultReplaySeed
-	}
 	if o.Checker == "" {
 		o.Checker = "epoch"
-	}
-	if o.Cache == nil {
-		o.Cache = core.NewCache(nil)
 	}
 }
 
@@ -123,18 +101,14 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	if !known {
 		return nil, fmt.Errorf("unknown config %q", o.Config)
 	}
-	var tr *obs.Tracer
-	if o.Clock != nil {
-		tr = obs.NewTracerWithClock(o.Clock)
-	} else {
-		tr = obs.NewTracer()
-	}
+	tr := obs.NewTracer()
+	cache := core.NewCache(nil)
 
 	root := tr.Start("pipeline")
 	root.SetStr("program", t.Name).SetStr("config", o.Config)
 
 	sp := tr.Start("analyze")
-	prog, err := o.Cache.Load(t.Name, t.Source, o.Parallel, tr)
+	prog, err := cache.Load(t.Name, t.Source, o.Parallel, tr)
 	if err != nil {
 		return nil, err
 	}
@@ -173,8 +147,8 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	}
 	sp.SetAttr("ok", ok).End()
 
-	c := ip.RecordAndCheck(core.RunConfig{World: t.EvalWorld(o.Workers), Seed: o.Seed, Table: ip.Table},
-		o.ReplaySeed, io.Discard, tr)
+	c := ip.RecordAndCheck(core.RunConfig{World: t.EvalWorld(bench.DefaultWorkers), Seed: o.Seed, Table: ip.Table},
+		core.DefaultReplaySeed, io.Discard, tr)
 	if c.RecordErr != nil {
 		return nil, fmt.Errorf("%s record: %w", t.Name, c.RecordErr)
 	}
@@ -197,9 +171,9 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 		Log:       &c.Logs,
 		Checker:   checker,
 	}
-	hits, partial, misses := o.Cache.Stats()
+	hits, partial, misses := cache.Stats()
 	rpt.Cache = &obs.CacheStats{Hits: hits, PartialHits: partial, Misses: misses}
-	rpt.SummaryStore = o.Cache.SummaryStats()
+	rpt.SummaryStore = cache.SummaryStats()
 
 	return &Observation{
 		Tracer: tr, Report: rpt,

@@ -73,15 +73,39 @@ type Request struct {
 	Tracer *obs.Tracer `json:"-"`
 }
 
+// defaultConfig is -config's default.
+const defaultConfig = "all"
+
 // NewRequest returns a Request with racecheck's flag defaults.
 func NewRequest() *Request {
-	return &Request{Parallel: 1, Config: "all", Checker: "epoch", Seed: 1}
+	return &Request{Parallel: 1, Config: defaultConfig, Checker: "epoch", Seed: 1}
 }
 
 // config is the instrumentation configuration -config, -mhp and
 // -precision name together.
 func (req *Request) config() core.Config {
 	return core.Config{Base: req.Config, MHP: req.MHP, Precision: req.Precision}
+}
+
+// unused names on errOut the first of -mhp, -precision and a non-default
+// -config that req sets although its mode never reads it, with where it
+// has no effect, and reports whether there was one, so no flag is dropped
+// without a word. Only modes that instrument nothing call it, so -config
+// is never read there; mhp and precision say whether the mode reads those.
+func (req *Request) unused(errOut io.Writer, mhp, precision bool, where string) bool {
+	var flag string
+	switch {
+	case req.MHP && !mhp:
+		flag = "-mhp"
+	case req.Precision && !precision:
+		flag = "-precision"
+	case req.Config != defaultConfig:
+		flag = "-config"
+	default:
+		return false
+	}
+	fmt.Fprintf(errOut, "racecheck: %s has no effect %s\n", flag, where)
+	return true
 }
 
 // usage prints the CLI usage when available, or a one-line reminder.

@@ -57,9 +57,19 @@ func (env *Env) loadProgram(name, src string, o core.LoadOptions) (*core.Program
 // tenant's caches): one code path, so a verdict's bytes cannot depend on
 // which front end asked for it.
 func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
+	config := req.config()
+	opts, known := config.Options()
+	if !known {
+		fmt.Fprintf(errOut, "racecheck: unknown -config %q\n", req.Config)
+		return ExitUsage
+	}
+
 	if req.Gen != "" {
 		if req.Dynamic || req.Certify || req.BatchDir != "" || req.Bench != "" || len(req.Args) != 0 {
 			fmt.Fprintln(errOut, "racecheck: -gen takes a spec and combines only with -v")
+			return ExitUsage
+		}
+		if req.unused(errOut, false, false, "with -gen") {
 			return ExitUsage
 		}
 		return runGen(req.Gen, req.Verbose, out, errOut)
@@ -68,6 +78,9 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 	if req.BatchDir != "" {
 		if req.Dynamic || req.Certify || req.Bench != "" || len(req.Args) != 0 {
 			fmt.Fprintln(errOut, "racecheck: -batch takes a directory and combines only with -mhp, -parallel, and -summary-stats")
+			return ExitUsage
+		}
+		if req.unused(errOut, true, false, "with -batch") {
 			return ExitUsage
 		}
 		return runBatch(req.BatchDir, req.Parallel, req.MHP, req.SummaryStats, out, errOut)
@@ -86,6 +99,9 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 	}
 
 	if req.Dynamic {
+		if req.unused(errOut, false, false, "with -dynamic but no -trace/-metrics") {
+			return ExitUsage
+		}
 		if req.Bench != "" {
 			if len(req.Args) != 0 {
 				req.usage(errOut)
@@ -115,19 +131,15 @@ func RunRequest(req *Request, env *Env, out, errOut io.Writer) int {
 		return runDynamic(name, prog, oskit.NewWorld(req.Seed), req.Seed, req.Checker, out, errOut)
 	}
 
-	config := req.config()
-	opts, okConfig := config.Options()
-	if req.Certify && !okConfig {
-		fmt.Fprintf(errOut, "racecheck: unknown -config %q\n", req.Config)
-		return ExitUsage
-	}
-
 	if req.Bench != "" {
 		if !req.Certify || len(req.Args) != 0 || req.Instrumented != "" {
 			req.usage(errOut)
 			return ExitUsage
 		}
 		return runBench(env, req.Bench, config, req.CertOut, out, errOut)
+	}
+	if !req.Certify && req.unused(errOut, true, true, "without -certify") {
+		return ExitUsage
 	}
 
 	if len(req.Args) != 1 {
@@ -369,10 +381,6 @@ func runObserved(req *Request, out, errOut io.Writer) int {
 	checker, seed, config := req.Checker, req.Seed, req.config()
 	if checker != "epoch" && checker != "vector" {
 		fmt.Fprintf(errOut, "racecheck: -trace/-metrics support -checker epoch or vector, not %q\n", checker)
-		return ExitUsage
-	}
-	if _, ok := config.Options(); !ok {
-		fmt.Fprintf(errOut, "racecheck: unknown -config %q\n", req.Config)
 		return ExitUsage
 	}
 
