@@ -64,11 +64,18 @@ type Engine struct {
 
 	mu       sync.Mutex
 	tenants  map[string]*tenantState
-	jobs     map[string]*Job
-	order    []string // job IDs in submission order
+	jobs     map[string]*Job // unfinished jobs and the kept finished ones
+	finished []*Job          // kept finished jobs, in the order they finished
+	done     int64           // jobs ever finished in StateDone
+	failed   int64           // jobs ever finished in StateFailed
 	seq      int
 	draining bool
 }
+
+// maxFinishedJobs bounds the finished jobs an engine keeps. Past it, the
+// job that finished first is forgotten: its ID answers as unknown and its
+// spool is deleted. Queued, running and awaiting-log jobs are always kept.
+const maxFinishedJobs = 1024
 
 // tenantState is one tenant's slice of the engine: its own whole-program
 // cache and its view of the shared summary store. The view rewrites
@@ -155,6 +162,7 @@ func (e *Engine) Submit(spec *JobSpec) (*Job, error) {
 	e.seq++
 	job := &Job{
 		id:      fmt.Sprintf("j%06d-%s", e.seq, hash[:12]),
+		seq:     e.seq,
 		spec:    spec,
 		hash:    hash,
 		state:   StateQueued,
@@ -164,7 +172,6 @@ func (e *Engine) Submit(spec *JobSpec) (*Job, error) {
 	job.spool = filepath.Join(e.cfg.SpoolDir, job.id+".clog")
 	job.traceID = traceIDFor(spec, e.seq, hash)
 	e.jobs[job.id] = job
-	e.order = append(e.order, job.id)
 	e.tenant(spec.Tenant).jobs++
 	e.mu.Unlock()
 
@@ -295,15 +302,15 @@ func (e *Engine) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Views snapshots every job in submission order.
+// Views snapshots every kept job in submission order.
 func (e *Engine) Views() []JobView {
 	e.mu.Lock()
-	ids := append([]string(nil), e.order...)
-	jobs := make([]*Job, len(ids))
-	for i, id := range ids {
-		jobs[i] = e.jobs[id]
+	jobs := make([]*Job, 0, len(e.jobs))
+	for _, j := range e.jobs {
+		jobs = append(jobs, j)
 	}
 	e.mu.Unlock()
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
 	views := make([]JobView, len(jobs))
 	for i, j := range jobs {
 		views[i] = j.View()
@@ -357,22 +364,26 @@ func (e *Engine) Drain(timeout time.Duration) bool {
 }
 
 // Metrics snapshots the engine: job counts by state, pool occupancy, and
-// per-tenant cache and summary-store traffic with hit ratios.
+// per-tenant cache and summary-store traffic with hit ratios. Retired
+// jobs are counted by retire, so done and failed cover forgotten jobs
+// too; the rest are counted by their current state.
 func (e *Engine) Metrics() *obs.ServiceMetrics {
 	e.mu.Lock()
-	jobs := make([]*Job, 0, len(e.jobs))
+	m := &obs.ServiceMetrics{Schema: 2, Draining: e.draining}
+	m.Jobs.Done, m.Jobs.Failed = e.done, e.failed
+	var jobs []*Job
 	for _, j := range e.jobs {
-		jobs = append(jobs, j)
+		if !j.retired {
+			jobs = append(jobs, j)
+		}
 	}
 	// Copies, taken under e.mu: Submit bumps a tenant's jobs count.
 	tenants := make([]tenantState, 0, len(e.tenants))
 	for _, t := range e.tenants {
 		tenants = append(tenants, *t)
 	}
-	draining := e.draining
 	e.mu.Unlock()
 
-	m := &obs.ServiceMetrics{Schema: 2, Draining: draining}
 	for _, j := range jobs {
 		switch j.View().State {
 		case StateQueued:
@@ -469,13 +480,35 @@ func (e *Engine) runJob(job *Job) {
 	e.retire(job)
 }
 
-// retire flushes a finished job's observability: job and stage
-// durations into the telemetry histograms, the span tree into the
-// /debug/traces ring, and one structured lifecycle record into the log.
-// Jobs that never started (queue rejection, upload failure) keep their
-// trace and log record but do not pollute the latency histograms.
+// retire counts a finished job, keeps it among the last maxFinishedJobs
+// finished, and flushes its observability: job and stage durations into
+// the telemetry histograms, the span tree into the /debug/traces ring,
+// and one structured lifecycle record into the log. Jobs that never
+// started (queue rejection, upload failure) keep their trace and log
+// record but do not pollute the latency histograms. Every path that
+// finishes a job calls retire once, after Job.complete.
 func (e *Engine) retire(job *Job) {
 	v := job.View()
+	e.mu.Lock()
+	job.retired = true
+	if v.State == StateFailed {
+		e.failed++
+	} else {
+		e.done++
+	}
+	e.finished = append(e.finished, job)
+	var evicted *Job
+	if len(e.finished) > maxFinishedJobs {
+		evicted = e.finished[0]
+		e.finished[0] = nil
+		e.finished = e.finished[1:]
+		delete(e.jobs, evicted.id)
+	}
+	e.mu.Unlock()
+	if evicted != nil {
+		// Jobs that wrote no spool have none to remove.
+		_ = os.Remove(evicted.spool)
+	}
 	nodes := job.tracer.Nodes()
 	var root *obs.SpanNode
 	if len(nodes) > 0 {

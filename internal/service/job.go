@@ -198,12 +198,13 @@ type JobResult struct {
 	Trace *obs.SpanNode `json:"trace,omitempty"`
 }
 
-// Job is one scheduled unit of work. All fields are guarded by mu;
-// readers take View snapshots. done closes exactly once, when the job
+// Job is one scheduled unit of work. Fields are guarded by mu unless
+// noted; readers take View snapshots. done closes exactly once, when the job
 // reaches a terminal state.
 type Job struct {
 	mu       sync.Mutex
 	id       string
+	seq      int // submission order
 	spec     *JobSpec
 	hash     string
 	state    JobState
@@ -226,6 +227,10 @@ type Job struct {
 	waitSpan    *obs.Span
 	queueWaitNS int64
 	runNS       int64
+
+	// retired is set by Engine.retire and guarded by the engine's mu,
+	// not by j.mu.
+	retired bool
 }
 
 // ID returns the job's engine-assigned identifier.

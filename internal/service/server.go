@@ -15,7 +15,7 @@ import (
 // serves. The API:
 //
 //	POST /v1/jobs            submit a JobSpec; 202 + JobView
-//	GET  /v1/jobs            list all jobs (submission order)
+//	GET  /v1/jobs            list kept jobs (submission order)
 //	GET  /v1/jobs/{id}       poll one job
 //	GET  /v1/jobs/{id}/wait  long-poll until terminal (or ?timeout=)
 //	PUT  /v1/jobs/{id}/log   stream a CHIMLOG2 upload into an

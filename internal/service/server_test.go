@@ -378,3 +378,93 @@ func TestRemoteRunMatchesOffline(t *testing.T) {
 		t.Errorf("missing-file stderr %q lacks the racecheck prefix", me.String())
 	}
 }
+
+// TestFinishedJobsAreBounded submits maxFinishedJobs+k jobs: the oldest k
+// record jobs are forgotten (their IDs answer like unknown ones and their
+// spools are deleted), the newest maxFinishedJobs are kept, and a kept
+// record job still replay-verifies. The fillers between them finish on
+// several shards at once while Metrics and Views read the table.
+func TestFinishedJobsAreBounded(t *testing.T) {
+	ts, _, eng := newTestServer(t)
+	const k = 3
+	record := func(seed uint64) JobView {
+		v := submitAndAwait(t, eng, &JobSpec{Kind: JobRecord, Tenant: "acme", Name: "clean", Source: cleanSrc, Seed: seed})
+		if v.State != StateDone || v.Result == nil || v.Result.ExitCode != ExitOK {
+			t.Fatalf("record: state %s, result %+v, error %q", v.State, v.Result, v.Error)
+		}
+		return v
+	}
+	var old []JobView
+	for i := 0; i < k; i++ {
+		old = append(old, record(uint64(i+1)))
+	}
+	// Cheap fillers: a malformed scenario spec ends at parsing. Distinct
+	// specs spread them over the shards.
+	const submitters = 8
+	var wg sync.WaitGroup
+	for g := 0; g < submitters; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; i < maxFinishedJobs-1; i += submitters {
+				job, err := eng.Submit(&JobSpec{Kind: JobGenPipeline, Tenant: "acme", Spec: fmt.Sprintf("filler-%d", i)})
+				if err != nil {
+					t.Errorf("submit filler %d: %v", i, err)
+					return
+				}
+				<-job.Done()
+				eng.Metrics()
+				eng.Views()
+			}
+		}(g)
+	}
+	wg.Wait()
+	kept := record(9)
+
+	status := func(path string) int {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", path, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, v := range old {
+		for _, path := range []string{"/v1/jobs/" + v.ID, "/v1/jobs/" + v.ID + "/log"} {
+			if code := status(path); code != http.StatusNotFound {
+				t.Errorf("GET %s = %d, want 404 for a forgotten job", path, code)
+			}
+		}
+		spool := filepath.Join(eng.cfg.SpoolDir, v.ID+".clog")
+		if _, err := os.Stat(spool); !os.IsNotExist(err) {
+			t.Errorf("forgotten job %s kept its spool: %v", v.ID, err)
+		}
+		ver := submitAndAwait(t, eng, &JobSpec{Kind: JobReplayVerify, Tenant: "acme", LogJob: v.ID})
+		if ver.Result == nil || ver.Result.ExitCode != ExitUsage ||
+			ver.Result.Stderr != fmt.Sprintf("replay-verify: unknown log_job %s\n", v.ID) {
+			t.Errorf("replay-verify of forgotten job %s: %+v", v.ID, ver.Result)
+		}
+	}
+
+	// The three replay-verify jobs above each pushed a filler out.
+	views := eng.Views()
+	if len(views) != maxFinishedJobs {
+		t.Fatalf("engine keeps %d jobs, want %d", len(views), maxFinishedJobs)
+	}
+	for i := 1; i < len(views); i++ {
+		if views[i-1].ID >= views[i].ID {
+			t.Fatalf("Views out of submission order: %s before %s", views[i-1].ID, views[i].ID)
+		}
+	}
+	if code := status("/v1/jobs/" + kept.ID + "/log"); code != http.StatusOK {
+		t.Errorf("GET log of kept record job = %d, want 200", code)
+	}
+	ver := submitAndAwait(t, eng, &JobSpec{Kind: JobReplayVerify, Tenant: "acme", LogJob: kept.ID})
+	if ver.Result == nil || ver.Result.ReplayMatches == nil || !*ver.Result.ReplayMatches {
+		t.Fatalf("replay-verify of kept record job: %+v", ver.Result)
+	}
+	if m := eng.Metrics(); m.Jobs.Done != maxFinishedJobs+k+k+1 || m.Jobs.Failed != 0 {
+		t.Errorf("metrics count %d done and %d failed, want %d done: counters must include forgotten jobs",
+			m.Jobs.Done, m.Jobs.Failed, maxFinishedJobs+k+k+1)
+	}
+}

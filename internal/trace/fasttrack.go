@@ -14,10 +14,10 @@ import (
 // the cell back to epoch mode.
 type ecell struct {
 	w     access
-	hasW  bool
-	r     access // read epoch; valid iff hasR and len(reads) == 0
-	hasR  bool
+	r     access   // read epoch; valid iff hasR and len(reads) == 0
 	reads []access // promoted read vector: latest read per thread
+	hasW  bool
+	hasR  bool
 }
 
 // EpochChecker is the FastTrack-style happens-before race checker: the
@@ -39,7 +39,7 @@ type ecell struct {
 // reports the identical (node, node) pair.
 type EpochChecker struct {
 	hb     hbState
-	shadow map[int64]*ecell
+	shadow table[ecell] // by word address
 	rep    reporter
 
 	wall int64 // accumulated nanoseconds spent draining event batches
@@ -50,11 +50,7 @@ type EpochChecker struct {
 // retained (0 means a generous default). Use NewVectorChecker for the
 // full-vector differential oracle.
 func NewChecker(maxRaces int) *EpochChecker {
-	return &EpochChecker{
-		hb:     newHBState(),
-		shadow: make(map[int64]*ecell),
-		rep:    newReporter(maxRaces),
-	}
+	return &EpochChecker{rep: newReporter(maxRaces)}
 }
 
 // Races returns the distinct races found, ordered.
@@ -72,12 +68,8 @@ func (c *EpochChecker) WallNS() int64 { return c.wall }
 
 // Access observes one shared-memory access.
 func (c *EpochChecker) Access(tid int, addr int64, write bool, node ast.NodeID, clock int64) {
-	s, ok := c.shadow[addr]
-	if !ok {
-		s = &ecell{}
-		c.shadow[addr] = s
-	}
-	cur := access{tid: tid, clk: c.hb.clockOf(tid), node: node}
+	s := c.shadow.at(addr)
+	cur := access{tid: int32(tid), clk: c.hb.clockOf(tid), node: node}
 
 	if write {
 		// Same-epoch write fast path: the identical statement already
@@ -88,17 +80,17 @@ func (c *EpochChecker) Access(tid int, addr int64, write bool, node ast.NodeID, 
 			return
 		}
 		v := *c.hb.vc(tid)
-		if s.hasW && s.w.tid != tid && !v.covers(s.w.tid, s.w.clk) {
+		if s.hasW && s.w.tid != cur.tid && !v.covers(s.w.tid, s.w.clk) {
 			c.rep.report(addr, s.w, true, cur, true)
 		}
 		if len(s.reads) > 0 {
 			for _, rd := range s.reads {
-				if rd.tid != tid && !v.covers(rd.tid, rd.clk) {
+				if rd.tid != cur.tid && !v.covers(rd.tid, rd.clk) {
 					c.rep.report(addr, rd, false, cur, true)
 				}
 			}
 		} else if s.hasR {
-			if s.r.tid != tid && !v.covers(s.r.tid, s.r.clk) {
+			if s.r.tid != cur.tid && !v.covers(s.r.tid, s.r.clk) {
 				c.rep.report(addr, s.r, false, cur, true)
 			}
 		}
@@ -125,14 +117,14 @@ func (c *EpochChecker) Access(tid int, addr int64, write bool, node ast.NodeID, 
 	}
 
 	v := *c.hb.vc(tid)
-	if s.hasW && s.w.tid != tid && !v.covers(s.w.tid, s.w.clk) {
+	if s.hasW && s.w.tid != cur.tid && !v.covers(s.w.tid, s.w.clk) {
 		c.rep.report(addr, s.w, true, cur, false)
 	}
 
 	if len(s.reads) > 0 {
 		// Promoted: latest read per thread, exactly the oracle's set.
 		for i := range s.reads {
-			if s.reads[i].tid == tid {
+			if s.reads[i].tid == cur.tid {
 				s.reads[i] = cur
 				return
 			}
@@ -145,7 +137,7 @@ func (c *EpochChecker) Access(tid int, addr int64, write bool, node ast.NodeID, 
 		s.hasR = true
 		return
 	}
-	if s.r.tid == tid {
+	if s.r.tid == cur.tid {
 		s.r = cur // thread's own newer read epoch
 		return
 	}

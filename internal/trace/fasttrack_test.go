@@ -111,7 +111,7 @@ func TestEpochSameEpochFastPath(t *testing.T) {
 		ep.Access(1, 4, true, 7, 0)
 		ep.Access(1, 4, false, 8, 0)
 	}
-	s := ep.shadow[4]
+	s := ep.shadow.at(4)
 	if len(s.reads) != 0 {
 		t.Fatalf("same-thread re-reads must stay in epoch mode, got %d reads", len(s.reads))
 	}
@@ -176,7 +176,7 @@ func TestVCGrowthBounded(t *testing.T) {
 	if ep.RaceCount() != 0 {
 		t.Fatalf("lock-protected counter raced: %v", ep.Races())
 	}
-	if s := ep.shadow[64]; len(s.reads) != 0 {
+	if s := ep.shadow.at(64); len(s.reads) != 0 {
 		t.Fatalf("ordered handoff must not promote to a read vector (got %d entries)", len(s.reads))
 	}
 }

@@ -56,8 +56,8 @@ func (v *VC) join(o VC) {
 }
 
 // covers reports whether epoch (tid, clk) happens-before-or-equals v.
-func (v VC) covers(tid int, clk uint32) bool {
-	if tid >= len(v) {
+func (v VC) covers(tid int32, clk uint32) bool {
+	if int(tid) >= len(v) {
 		return clk == 0
 	}
 	return clk <= v[tid]
@@ -87,7 +87,7 @@ func (r Race) String() string {
 // access is one recorded access epoch: who, at what clock, at which
 // source node.
 type access struct {
-	tid  int
+	tid  int32
 	clk  uint32
 	node ast.NodeID
 }
@@ -112,17 +112,35 @@ var (
 // ---------------------------------------------------------------------------
 // Shared happens-before state
 
+// numSyncClasses counts the sync classes the VM defines; hbState keeps
+// one clock table per class.
+const numSyncClasses = int(vm.SyncSpawn) + 1
+
 // hbState maintains the thread and sync-object vector clocks of the
 // extended synchronization set. Both checkers delegate to it, so the
 // happens-before relation — including the documented loop-lock
-// lock-identity granularity — is identical by construction.
+// lock-identity granularity — is identical by construction. An object
+// never released has a nil clock, which an acquire joins as a no-op.
 type hbState struct {
-	vcs   []VC
-	objVC map[vm.SyncKey]VC
+	vcs      []VC
+	obj      [numSyncClasses]table[VC] // sync-object clocks per class, by ID
+	objOther map[vm.SyncKey]*VC        // classes the VM does not define
 }
 
-func newHBState() hbState {
-	return hbState{objVC: make(map[vm.SyncKey]VC)}
+// objVC returns the clock of sync object key.
+func (h *hbState) objVC(key vm.SyncKey) *VC {
+	if int(key.Class) < numSyncClasses {
+		return h.obj[key.Class].at(key.ID)
+	}
+	o, ok := h.objOther[key]
+	if !ok {
+		if h.objOther == nil {
+			h.objOther = make(map[vm.SyncKey]*VC)
+		}
+		o = new(VC)
+		h.objOther[key] = o
+	}
+	return o
 }
 
 func (h *hbState) vc(tid int) *VC {
@@ -156,33 +174,34 @@ func (h *hbState) syncEvent(key vm.SyncKey, kind vm.SyncEventKind, tid int) {
 	switch kind {
 	case vm.EvAcquire, vm.EvWLAcquire, vm.EvCondWake, vm.EvBarrierRelease:
 		// Acquire-like: thread joins the object's clock.
-		if o, ok := h.objVC[key]; ok {
-			h.vc(tid).join(o)
-		}
+		o := *h.objVC(key)
+		h.vc(tid).join(o)
 
 	case vm.EvRelease, vm.EvWLRelease, vm.EvWLForcedRelease,
 		vm.EvCondSignal, vm.EvCondBcast, vm.EvBarrierArrive:
 		// Release-like: object joins the thread's clock; thread advances.
-		o := h.objVC[key]
-		o.join(*h.vc(tid))
-		h.objVC[key] = o
+		h.objVC(key).join(*h.vc(tid))
 		h.tick(tid)
 
 	case vm.EvCondWait:
 		// The mutex release is delivered separately; the wait itself
 		// contributes no extra edge.
 
+	// Spawn and join read the other thread's clock before taking the
+	// receiver's address: h.vc may grow h.vcs, and a pointer taken
+	// first would point into the old array.
 	case vm.EvSpawn:
 		// key.ID is the child tid: child starts after the parent's
 		// current point.
 		child := int(key.ID)
-		h.vc(child).join(*h.vc(tid))
+		parent := *h.vc(tid)
+		h.vc(child).join(parent)
 		h.tick(child) // child's own component
 		h.tick(tid)
 
 	case vm.EvJoin:
-		child := int(key.ID)
-		h.vc(tid).join(*h.vc(child))
+		child := *h.vc(int(key.ID))
+		h.vc(tid).join(child)
 	}
 }
 
@@ -216,7 +235,7 @@ func (rp *reporter) report(addr int64, prev access, prevW bool, cur access, curW
 	rp.races = append(rp.races, Race{
 		Addr:  addr,
 		NodeA: prev.node, NodeB: cur.node,
-		TidA: prev.tid, TidB: cur.tid,
+		TidA: int(prev.tid), TidB: int(cur.tid),
 		WriteA: prevW, WriteB: curW,
 	})
 }
@@ -240,8 +259,8 @@ func (rp *reporter) sorted() []Race {
 // latest read of every thread since that write.
 type vcCell struct {
 	write access
-	hasW  bool
 	reads []access
+	hasW  bool
 }
 
 // VectorChecker is the original full-vector happens-before checker, kept
@@ -250,7 +269,7 @@ type vcCell struct {
 // reference semantics.
 type VectorChecker struct {
 	hb     hbState
-	shadow map[int64]*vcCell
+	shadow table[vcCell] // by word address
 	rep    reporter
 
 	wall int64 // accumulated nanoseconds spent draining event batches
@@ -260,11 +279,7 @@ type VectorChecker struct {
 // maxRaces distinct (node, node) races are retained (0 means a generous
 // default).
 func NewVectorChecker(maxRaces int) *VectorChecker {
-	return &VectorChecker{
-		hb:     newHBState(),
-		shadow: make(map[int64]*vcCell),
-		rep:    newReporter(maxRaces),
-	}
+	return &VectorChecker{rep: newReporter(maxRaces)}
 }
 
 // Races returns the distinct races found, ordered.
@@ -280,20 +295,15 @@ func (c *VectorChecker) WallNS() int64 { return c.wall }
 // Access observes one shared-memory access.
 func (c *VectorChecker) Access(tid int, addr int64, write bool, node ast.NodeID, clock int64) {
 	v := *c.hb.vc(tid)
-	cur := access{tid: tid, clk: c.hb.clockOf(tid), node: node}
-
-	s, ok := c.shadow[addr]
-	if !ok {
-		s = &vcCell{}
-		c.shadow[addr] = s
-	}
+	cur := access{tid: int32(tid), clk: c.hb.clockOf(tid), node: node}
+	s := c.shadow.at(addr)
 
 	if write {
-		if s.hasW && s.write.tid != tid && !v.covers(s.write.tid, s.write.clk) {
+		if s.hasW && s.write.tid != cur.tid && !v.covers(s.write.tid, s.write.clk) {
 			c.rep.report(addr, s.write, true, cur, true)
 		}
 		for _, rd := range s.reads {
-			if rd.tid != tid && !v.covers(rd.tid, rd.clk) {
+			if rd.tid != cur.tid && !v.covers(rd.tid, rd.clk) {
 				c.rep.report(addr, rd, false, cur, true)
 			}
 		}
@@ -302,12 +312,12 @@ func (c *VectorChecker) Access(tid int, addr int64, write bool, node ast.NodeID,
 		s.reads = s.reads[:0]
 		return
 	}
-	if s.hasW && s.write.tid != tid && !v.covers(s.write.tid, s.write.clk) {
+	if s.hasW && s.write.tid != cur.tid && !v.covers(s.write.tid, s.write.clk) {
 		c.rep.report(addr, s.write, true, cur, false)
 	}
 	// Keep at most one read epoch per thread (the latest).
 	for i := range s.reads {
-		if s.reads[i].tid == tid {
+		if s.reads[i].tid == cur.tid {
 			s.reads[i] = cur
 			return
 		}
