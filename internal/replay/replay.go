@@ -217,12 +217,21 @@ type Replayer struct {
 	// once and consumes a record by reslicing, with no map write.
 	inputQ map[int]*[]InputRec
 	orderQ map[vm.SyncKey]*[]OrderRec
+	// wlQ holds the order queues of weak-lock keys with IDs below
+	// wlQueueSlots, by ID, so the per-acquire gate does no hashing; every
+	// other key, and any larger ID a log names, is in orderQ.
+	wlQ [wlQueueSlots][]OrderRec
 
 	// forced holds each thread's scheduled preemptions in order.
 	forced map[int][]forcedRec
 	eof    bool
 	err    error
 }
+
+// wlQueueSlots bounds the weak-lock IDs whose order queues have a slot.
+// The largest lock table of the benchmarks has a handful of locks; the
+// bound is fixed, so no allocation is ever sized by an ID read from a log.
+const wlQueueSlots = 256
 
 type forcedRec struct {
 	key    vm.SyncKey
@@ -252,9 +261,13 @@ func NewReplayer(log *Log, cost vm.CostModel) *Replayer {
 		r.inputQ[tid] = &q
 	}
 	for _, key := range log.sortedOrderKeys() {
-		q := log.Orders[key]
-		r.orderQ[key] = &q
-		for _, rec := range q {
+		recs := log.Orders[key]
+		if q := r.orderQueue(key); q != nil {
+			*q = recs
+		} else {
+			r.orderQ[key] = &recs
+		}
+		for _, rec := range recs {
 			r.schedule(key, rec)
 		}
 	}
@@ -336,7 +349,7 @@ func (r *Replayer) pull() bool {
 		}
 		*q = append(*q, rec.Input)
 	} else {
-		q := r.orderQ[rec.Key]
+		q := r.orderQueue(rec.Key)
 		if q == nil {
 			q = new([]OrderRec)
 			r.orderQ[rec.Key] = q
@@ -344,6 +357,15 @@ func (r *Replayer) pull() bool {
 		*q = append(*q, rec.Order)
 	}
 	return true
+}
+
+// orderQueue returns key's order queue: its wlQ slot for a weak-lock key
+// with an ID below wlQueueSlots, else its orderQ entry (nil if none yet).
+func (r *Replayer) orderQueue(key vm.SyncKey) *[]OrderRec {
+	if key.Class == vm.SyncWeakLock && key.ID >= 0 && key.ID < wlQueueSlots {
+		return &r.wlQ[key.ID]
+	}
+	return r.orderQ[key]
 }
 
 // inputs returns tid's input queue holding at least one record, or nil
@@ -362,12 +384,12 @@ func (r *Replayer) inputs(tid int) *[]InputRec {
 // orders returns key's order queue holding at least one record, or nil
 // when the log has no more records on key.
 func (r *Replayer) orders(key vm.SyncKey) *[]OrderRec {
-	q := r.orderQ[key]
+	q := r.orderQueue(key)
 	for q == nil || len(*q) == 0 {
 		if !r.pull() {
 			return nil
 		}
-		q = r.orderQ[key]
+		q = r.orderQueue(key)
 	}
 	return q
 }
@@ -472,6 +494,11 @@ func (r *Replayer) Drained() bool {
 	}
 	for _, q := range r.orderQ {
 		if len(*q) != 0 {
+			return false
+		}
+	}
+	for _, q := range r.wlQ {
+		if len(q) != 0 {
 			return false
 		}
 	}
