@@ -492,8 +492,9 @@ type Checked struct {
 	Matches   bool
 
 	// Epoch and Vector consumed the replay's event stream; Agree is true
-	// when the replay matched and their verdict sets are identical (a
-	// partial replay yields no clean verdict). Events counts that stream.
+	// when the replay matched, neither checker rejected an event, and
+	// their verdict sets are identical (a partial replay yields no clean
+	// verdict). Events counts that stream.
 	Epoch  *trace.EpochChecker
 	Vector *trace.VectorChecker
 	Agree  bool
@@ -558,7 +559,8 @@ func (ip *Instrumented) RecordAndCheck(rc RunConfig, replaySeed uint64, w io.Wri
 	sp.SetAttr("match", match).End()
 
 	sp = tr.Start("dynamic-check")
-	c.Agree = c.Matches && trace.SameVerdicts(c.Epoch.Races(), c.Vector.Races())
+	c.Agree = c.Matches && c.Epoch.Err() == nil && c.Vector.Err() == nil &&
+		trace.SameVerdicts(c.Epoch.Races(), c.Vector.Races())
 	c.Events = counter.Events(c.Replay.Counters.EventsEmitted, c.Replay.Counters.EventBatches)
 	sp.SetAttr("races", int64(c.Epoch.RaceCount())).
 		SetAttr("events", c.Events.Emitted).End()

@@ -66,8 +66,16 @@ func (c *EpochChecker) RaceCount() int { return len(c.rep.races) }
 // are for tests.
 func (c *EpochChecker) WallNS() int64 { return c.wall }
 
+// Err returns the first event rejected for naming a thread outside
+// [0, MaxThreads), or nil.
+func (c *EpochChecker) Err() error { return c.hb.err }
+
 // Access observes one shared-memory access.
 func (c *EpochChecker) Access(tid int, addr int64, write bool, node ast.NodeID, clock int64) {
+	if !validTid(int64(tid)) {
+		c.hb.reject(int64(tid), "access")
+		return
+	}
 	s := c.shadow.at(addr)
 	cur := access{tid: int32(tid), clk: c.hb.clockOf(tid), node: node}
 

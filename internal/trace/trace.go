@@ -95,13 +95,16 @@ type access struct {
 // RaceChecker is the common surface of both checker implementations: a VM
 // observer (batched sink) that accumulates race verdicts. Access and
 // SyncEvent consume one event each — Drain's per-event steps, exposed so
-// differential tests can feed checkers a synthetic stream directly.
+// differential tests can feed checkers a synthetic stream directly. An
+// event naming a thread outside [0, MaxThreads) is rejected: it touches no
+// clock, and Err reports the first one.
 type RaceChecker interface {
 	vm.EventSink
 	Access(tid int, addr int64, write bool, node ast.NodeID, clock int64)
 	SyncEvent(key vm.SyncKey, kind vm.SyncEventKind, tid int, clock int64)
 	Races() []Race
 	RaceCount() int
+	Err() error
 }
 
 var (
@@ -116,6 +119,12 @@ var (
 // one clock table per class.
 const numSyncClasses = int(vm.SyncSpawn) + 1
 
+// MaxThreads bounds the thread IDs the checkers accept. Thread clocks are
+// indexed by ID and each is as long as the highest ID seen, so memory
+// grows with the square of the largest ID; at this bound it stays under
+// 4 MiB. The VM's default thread limit is 64.
+const MaxThreads = 1 << 10
+
 // hbState maintains the thread and sync-object vector clocks of the
 // extended synchronization set. Both checkers delegate to it, so the
 // happens-before relation — including the documented loop-lock
@@ -125,6 +134,18 @@ type hbState struct {
 	vcs      []VC
 	obj      [numSyncClasses]table[VC] // sync-object clocks per class, by ID
 	objOther map[vm.SyncKey]*VC        // classes the VM does not define
+	err      error                     // the first rejected event
+}
+
+// validTid reports whether a checker accepts thread ID tid. An event that
+// names any other is dropped before it touches a clock (reject).
+func validTid(tid int64) bool { return tid >= 0 && tid < MaxThreads }
+
+// reject keeps the first dropped event as the checker's error.
+func (h *hbState) reject(tid int64, what string) {
+	if h.err == nil {
+		h.err = fmt.Errorf("trace: %s names thread %d, outside [0, %d)", what, tid, MaxThreads)
+	}
 }
 
 // objVC returns the clock of sync object key.
@@ -171,6 +192,14 @@ func (h *hbState) clockOf(tid int) uint32 {
 // syncEvent maintains the happens-before relation of the extended
 // synchronization set (original sync + weak-locks + spawn/join).
 func (h *hbState) syncEvent(key vm.SyncKey, kind vm.SyncEventKind, tid int) {
+	if !validTid(int64(tid)) {
+		h.reject(int64(tid), kind.String())
+		return
+	}
+	if (kind == vm.EvSpawn || kind == vm.EvJoin) && !validTid(key.ID) {
+		h.reject(key.ID, kind.String())
+		return
+	}
 	switch kind {
 	case vm.EvAcquire, vm.EvWLAcquire, vm.EvCondWake, vm.EvBarrierRelease:
 		// Acquire-like: thread joins the object's clock.
@@ -292,8 +321,16 @@ func (c *VectorChecker) RaceCount() int { return len(c.rep.races) }
 // consuming event batches, timed like EpochChecker.WallNS.
 func (c *VectorChecker) WallNS() int64 { return c.wall }
 
+// Err returns the first event rejected for naming a thread outside
+// [0, MaxThreads), or nil.
+func (c *VectorChecker) Err() error { return c.hb.err }
+
 // Access observes one shared-memory access.
 func (c *VectorChecker) Access(tid int, addr int64, write bool, node ast.NodeID, clock int64) {
+	if !validTid(int64(tid)) {
+		c.hb.reject(int64(tid), "access")
+		return
+	}
 	v := *c.hb.vc(tid)
 	cur := access{tid: int32(tid), clk: c.hb.clockOf(tid), node: node}
 	s := c.shadow.at(addr)
