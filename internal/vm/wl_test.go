@@ -19,6 +19,9 @@ func wlTable(n int) *weaklock.Table {
 	return t
 }
 
+// runWL runs src like Run does, and checks the weak-lock runtime's
+// invariants at the end (checkWLState); a run that completes leaves no
+// stalled waiter counted.
 func runWL(t *testing.T, src string, tbl *weaklock.Table, seed uint64, timeout int64) *Result {
 	t.Helper()
 	f := parser.MustParse("t.mc", src)
@@ -28,7 +31,15 @@ func runWL(t *testing.T, src string, tbl *weaklock.Table, seed uint64, timeout i
 		t.Fatal(err)
 	}
 	w := oskit.NewWorld(1)
-	return Run(p, Config{Inputs: LiveInputs{OS: w}, Seed: seed, WL: tbl, WLTimeout: timeout})
+	m := newMachine(p, Config{Inputs: LiveInputs{OS: w}, Seed: seed, WL: tbl, WLTimeout: timeout})
+	m.run()
+	if m.wls != nil {
+		checkWLState(t, m, "end of run")
+		if m.fatal == nil && m.wlStalled != 0 {
+			t.Errorf("run ended with %d stalled waiters counted", m.wlStalled)
+		}
+	}
+	return m.result()
 }
 
 const inf = "-4611686018427387904, 4611686018427387904"
@@ -204,13 +215,10 @@ int main(void) {
 	}
 }
 
-func TestTimeoutPreservesSingleHolderInvariant(t *testing.T) {
-	// Even through forced preemptions, mutual exclusion holds whenever
-	// both threads are actually inside the region: the increment below
-	// stays exact because the forced release only happens while the
-	// holder is parked on the condvar, and it reacquires before touching
-	// g again.
-	src := `
+// singleHolderSrc parks a weak-lock holder on a condition variable while
+// a worker contends for the lock 200 times, so a recording with a short
+// timeout forces several preemptions.
+const singleHolderSrc = `
 int m;
 int cv;
 int flag;
@@ -244,7 +252,14 @@ int main(void) {
     print(count);
     return 0;
 }`
-	r := runWL(t, src, wlTable(1), 5, 20_000)
+
+func TestTimeoutPreservesSingleHolderInvariant(t *testing.T) {
+	// Even through forced preemptions, mutual exclusion holds whenever
+	// both threads are actually inside the region: the increment below
+	// stays exact because the forced release only happens while the
+	// holder is parked on the condvar, and it reacquires before touching
+	// g again.
+	r := runWL(t, singleHolderSrc, wlTable(1), 5, 20_000)
 	if r.Err != nil {
 		t.Fatalf("run: %v", r.Err)
 	}
