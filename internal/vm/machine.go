@@ -175,6 +175,11 @@ type ForcedAnchor struct {
 // The VM asks once when a thread is created and again after each of its
 // forced releases is committed, and caches the answer in between, so a
 // schedule must be complete before the run starts.
+//
+// A replaying monitor's keys come from the log, so the VM does not trust
+// them: a key that names no weak-lock of the table indexes no per-lock
+// state, and a forced release of a lock the thread does not hold fails
+// the run.
 type PreemptionMonitor interface {
 	// CommitForced records (or, on replay, consumes) a forced release of
 	// key by tid at the given anchor, returning the bookkeeping cost.
