@@ -19,7 +19,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"strings"
 	"sync"
@@ -354,7 +353,7 @@ func (s *Suite) measure(p *Prepared, configName string, workers int) (*Measureme
 
 	c := ip.RecordAndCheck(core.RunConfig{
 		World: p.B.EvalWorld(workers), Seed: s.Cfg.Seed, Table: ip.Table, HeapWords: s.Cfg.HeapWords,
-	}, s.Cfg.ReplaySeed, io.Discard, nil)
+	}, s.Cfg.ReplaySeed, nil)
 	m.RecordWallNS = c.RecordWallNS
 	if c.RecordErr != nil {
 		return nil, fmt.Errorf("%s/%s record: %w", p.B.Name, configName, c.RecordErr)

@@ -52,7 +52,7 @@ func TestMHPRefinementOnBarrierBenches(t *testing.T) {
 			t.Logf("%s: weak locks %d -> %d", name, base.Table.Len(), mhpIP.Table.Len())
 
 			// Record under one seed, replay under another: still bit-exact.
-			c := mhpIP.RecordAndCheck(core.RunConfig{World: b.ProfileWorld(0), Seed: 1234, Table: mhpIP.Table}, 987654, nil, nil)
+			c := mhpIP.RecordAndCheck(core.RunConfig{World: b.ProfileWorld(0), Seed: 1234, Table: mhpIP.Table}, 987654, nil)
 			if !c.Matches {
 				var replayed []byte
 				if c.Replay != nil {

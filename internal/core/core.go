@@ -10,6 +10,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"sync"
@@ -406,45 +407,44 @@ func (ip *Instrumented) RecordTo(rc RunConfig, w io.Writer) (*vm.Result, *replay
 	return Record(ip.Prog, ip.Table, rc, w)
 }
 
-// Replay re-executes the instrumented program against an in-memory
-// recording; see Replay.
+// Replay re-executes the instrumented program against a recording's
+// bytes; see Replay. A log that does not open yields an empty result
+// carrying the error, as a failed run does.
 func (ip *Instrumented) Replay(log *replay.Log, rc RunConfig) (*vm.Result, error) {
-	return Replay(ip.Prog, ip.Table, replay.NewReplayer(log, rc.Cost), rc)
+	rep, err := replay.NewStreamReplayer(bytes.NewReader(log.Bytes()), rc.Cost)
+	if err != nil {
+		return &vm.Result{Err: err}, err
+	}
+	return Replay(ip.Prog, ip.Table, rep, rc)
 }
 
 // Record executes a program while logging inputs and sync order; table is
 // its weak-lock table (nil records the DRF-only baseline on an
-// uninstrumented program). It returns the run result and the log. With a
-// non-nil w the log is also streamed to w in the chunked on-disk format as
-// records are committed; the returned LogWriter is then already closed,
-// and its byte counters attribute the compressed stream to inputs vs sync
-// order (nil when w is nil). Streaming adds no simulated cost — the cost
-// model already charges for logging.
+// uninstrumented program). It returns the run result, the recording — the
+// CHIMLOG2 bytes the recorder's LogWriter wrote, with its record counts —
+// and that LogWriter, already closed, whose ledger attributes the
+// compressed stream to inputs vs sync order. With a non-nil w the bytes
+// also stream to w as chunks are flushed. Streaming adds no simulated
+// cost — the cost model already charges for logging.
 func Record(p *Program, table *weaklock.Table, rc RunConfig, w io.Writer) (*vm.Result, *replay.Log, *replay.LogWriter) {
-	rec := replay.NewRecorder(rc.World, rc.Cost)
-	var lw *replay.LogWriter
-	if w != nil {
-		lw = replay.NewLogWriter(w)
-		rec.AttachWriter(lw)
-	}
+	rec := replay.NewRecorder(rc.World, rc.Cost, w)
 	cfg := rc.vmConfig()
 	cfg.Inputs = rec
 	cfg.Monitor = rec
 	cfg.WL = table
 	r := vm.Run(p.Code, cfg)
-	if lw != nil {
-		if err := lw.Close(); err != nil && r.Err == nil {
-			r.Err = fmt.Errorf("record stream: %w", err)
-		}
+	log, err := rec.Close()
+	if err != nil && r.Err == nil {
+		r.Err = fmt.Errorf("record stream: %w", err)
 	}
-	return r, rec.Log(), lw
+	return r, log, rec.Writer()
 }
 
-// Replay re-executes a program against a recording fed by rep — built by
-// replay.NewReplayer over an in-memory Log, or by replay.NewStreamReplayer
-// over a CHIMLOG2 stream such as an on-disk spool. The seed may differ
-// from the recording seed — determinism must come from the log — and the
-// replay must consume every logged record.
+// Replay re-executes a program against a recording fed by rep, a
+// replay.NewStreamReplayer over a CHIMLOG2 stream: a recording's bytes or
+// an on-disk spool. The seed may differ from the recording seed —
+// determinism must come from the log — and the replay must consume every
+// logged record.
 //
 // Recordings containing forced weak-lock preemptions (timeouts) replay
 // too: each preemption was logged with a deterministic anchor (the owner's
@@ -478,8 +478,7 @@ func Replay(p *Program, table *weaklock.Table, rep *replay.Replayer, rc RunConfi
 type Checked struct {
 	// Record is the recording run; RecordErr is its failure (Record.Err),
 	// in which case nothing was replayed and every later field is zero.
-	// Logs is the LogWriter's ledger of the CHIMLOG2 stream written to
-	// the caller's writer (zero without a writer).
+	// Log is the recording, and Logs its LogWriter's ledger.
 	Record    *vm.Result
 	RecordErr error
 	Log       *replay.Log
@@ -509,25 +508,22 @@ type Checked struct {
 }
 
 // RecordAndCheck is the dynamic stage of the pipeline. It records the
-// instrumented program under rc, streaming the log to w when w is
-// non-nil, then replays the recording under replaySeed with the epoch
-// checker, the full-vector oracle and an event counter attached, and
-// compares the two runs' Hash64. Replay is gated to the recorded sync
-// order, so the checkers see the happens-before order of the execution
-// that was logged; no third run is needed to feed them.
+// instrumented program under rc, then replays the bytes it recorded under
+// replaySeed with the epoch checker, the full-vector oracle and an event
+// counter attached, and compares the two runs' Hash64. Replay is gated to
+// the recorded sync order, so the checkers see the happens-before order
+// of the execution that was logged; no third run is needed to feed them.
 //
 // Each stage gets one span on tr (nil turns tracing off): record, replay,
 // and dynamic-check, which only reads the verdicts.
-func (ip *Instrumented) RecordAndCheck(rc RunConfig, replaySeed uint64, w io.Writer, tr *obs.Tracer) *Checked {
+func (ip *Instrumented) RecordAndCheck(rc RunConfig, replaySeed uint64, tr *obs.Tracer) *Checked {
 	c := &Checked{table: ip.Table}
 	sp := tr.Start("record")
 	start := time.Now()
 	var lw *replay.LogWriter
-	c.Record, c.Log, lw = ip.RecordTo(rc, w)
+	c.Record, c.Log, lw = ip.RecordTo(rc, nil)
 	c.RecordWallNS = time.Since(start).Nanoseconds()
-	if lw != nil {
-		c.Logs = lw.Stats()
-	}
+	c.Logs = lw.Stats()
 	if tr != nil {
 		sp.SetAttr("makespan", c.Record.Makespan).
 			SetAttr("input_records", int64(c.Log.InputCount())).
@@ -573,16 +569,7 @@ func (c *Checked) WeakLocks() *obs.WeakLocks {
 	wl := obs.WeakLocksFrom(c.table, c.Record.WLSites)
 	wl.Timeouts = c.Record.WLStats.Timeouts
 	wl.OrderLogEntries = int64(c.Log.OrderCount(vm.SyncWeakLock))
-	for key, recs := range c.Log.Orders {
-		if key.Class != vm.SyncWeakLock {
-			continue
-		}
-		for _, r := range recs {
-			if r.Kind == vm.EvWLAcquire {
-				wl.AcquireOrderEntries++
-			}
-		}
-	}
+	wl.AcquireOrderEntries = int64(c.Log.KindCount(vm.EvWLAcquire))
 	return wl
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -92,7 +93,7 @@ func world() *oskit.World { return oskit.NewWorld(7) }
 // replay must bit-match the recording, or both outputs are printed.
 func checkReplay(t *testing.T, ip *Instrumented, recSeed, repSeed uint64) {
 	t.Helper()
-	c := ip.RecordAndCheck(RunConfig{World: world(), Seed: recSeed, Table: ip.Table}, repSeed, nil, nil)
+	c := ip.RecordAndCheck(RunConfig{World: world(), Seed: recSeed, Table: ip.Table}, repSeed, nil)
 	if c.Matches {
 		return
 	}
@@ -167,7 +168,11 @@ func TestDRFOnlyRecordingDivergesOnRacyProgram(t *testing.T) {
 		if recRes.Err != nil {
 			t.Fatalf("record: %v", recRes.Err)
 		}
-		repRes, err := Replay(p, nil, replay.NewReplayer(log, vm.CostModel{}), RunConfig{World: world(), Seed: seed + 77})
+		rep, err := replay.NewStreamReplayer(bytes.NewReader(log.Bytes()), vm.CostModel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		repRes, err := Replay(p, nil, rep, RunConfig{World: world(), Seed: seed + 77})
 		if err != nil || repRes.Hash64() != recRes.Hash64() {
 			diverged = true
 		}

@@ -10,6 +10,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oskit"
 	"repro/internal/replay"
+	"repro/internal/vm"
 )
 
 // sameStoreRace has two threads store the same constant to one global:
@@ -41,7 +42,7 @@ func TestRecordAndCheckFindsRaceOnReplay(t *testing.T) {
 	}
 	ip := &Instrumented{Prog: prog}
 	for _, seed := range []uint64{5, 77, 9999} {
-		c := ip.RecordAndCheck(RunConfig{World: oskit.NewWorld(1), Seed: seed}, seed+1, nil, nil)
+		c := ip.RecordAndCheck(RunConfig{World: oskit.NewWorld(1), Seed: seed}, seed+1, nil)
 		if c.RecordErr != nil || c.ReplayErr != nil || !c.Matches {
 			t.Fatalf("seed %d: record %v, replay %v, matches %v", seed, c.RecordErr, c.ReplayErr, c.Matches)
 		}
@@ -55,21 +56,21 @@ func TestRecordAndCheckFindsRaceOnReplay(t *testing.T) {
 	}
 }
 
-// RecordAndCheck streams the log to its writer and traces one span per
-// stage; the dynamic-check span runs no VM and only reads the verdicts.
+// RecordAndCheck keeps the recording's bytes with their ledger and traces
+// one span per stage; the dynamic-check span runs no VM and only reads the
+// verdicts.
 func TestRecordAndCheckStreamAndSpans(t *testing.T) {
 	ip, err := mustLoad(t, "racy.mc", racyCounter).Instrument(nil, instrument.AllOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
 	tr := obs.NewTracer()
-	c := ip.RecordAndCheck(RunConfig{World: oskit.NewWorld(1), Seed: 1, Table: ip.Table}, 2, &buf, tr)
+	c := ip.RecordAndCheck(RunConfig{World: oskit.NewWorld(1), Seed: 1, Table: ip.Table}, 2, tr)
 	if !c.Matches || !c.Agree || c.Epoch.RaceCount() != 0 {
 		t.Fatalf("matches %v agree %v races %v", c.Matches, c.Agree, c.Epoch.Races())
 	}
-	if c.Logs.TotalBytes != int64(buf.Len()) || c.Logs.TotalBytes != c.Logs.InputBytes+c.Logs.OrderBytes+21 {
-		t.Errorf("stream of %d bytes, logs %+v", buf.Len(), c.Logs)
+	if n := len(c.Log.Bytes()); c.Logs.TotalBytes != int64(n) || c.Logs.TotalBytes != c.Logs.InputBytes+c.Logs.OrderBytes+21 {
+		t.Errorf("recording of %d bytes, logs %+v", n, c.Logs)
 	}
 	stages := tr.Stages()
 	var names []string
@@ -84,10 +85,13 @@ func TestRecordAndCheckStreamAndSpans(t *testing.T) {
 	}
 }
 
-// What the recorder's LogWriter booked is what a reader of the stream
-// books: on real benchmarks, including multi-chunk input and order
-// streams, Stat over the bytes RecordAndCheck streamed returns c.Logs,
-// and c.Logs counts every byte.
+// The bytes the recorder's LogWriter emitted are the recording that
+// RecordAndCheck replays, and what a reader of them books is what the
+// metrics report: on real benchmarks, including multi-chunk input and
+// order streams, a writer passed to Record receives exactly the
+// recording's bytes, Stat over them returns c.Logs, and Stat's per-class
+// and per-kind counts are the recording's counts, which the weak-lock
+// metrics and the harness's Syscalls and SyncOps read.
 func TestStatMatchesRecordedLedger(t *testing.T) {
 	var multiInput, multiOrder bool
 	for _, name := range []string{"aget", "pbzip2", "water"} {
@@ -102,21 +106,51 @@ func TestStatMatchesRecordedLedger(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			rc := RunConfig{World: b.EvalWorld(bench.DefaultWorkers), Seed: DefaultSeed, Table: ip.Table}
-			c := ip.RecordAndCheck(rc, DefaultReplaySeed, &buf, nil)
+			what := name + "/" + label
+			rc := func() RunConfig {
+				return RunConfig{World: b.EvalWorld(bench.DefaultWorkers), Seed: DefaultSeed, Table: ip.Table}
+			}
+			c := ip.RecordAndCheck(rc(), DefaultReplaySeed, nil)
 			if c.RecordErr != nil || !c.Matches {
-				t.Fatalf("%s/%s: record %v, replay %v", name, label, c.RecordErr, c.ReplayErr)
+				t.Fatalf("%s: record %v, replay %v", what, c.RecordErr, c.ReplayErr)
 			}
-			if c.Logs.TotalBytes != int64(buf.Len()) {
-				t.Errorf("%s/%s: ledger books %d bytes, the stream has %d", name, label, c.Logs.TotalBytes, buf.Len())
+			data := c.Log.Bytes()
+			var teed bytes.Buffer
+			if _, again, _ := ip.RecordTo(rc(), &teed); !bytes.Equal(teed.Bytes(), again.Bytes()) || !bytes.Equal(again.Bytes(), data) {
+				t.Errorf("%s: the writer got %d bytes, the recording holds %d, RecordAndCheck's %d",
+					what, teed.Len(), len(again.Bytes()), len(data))
 			}
-			info, err := replay.Stat(&buf)
+			if c.Logs.TotalBytes != int64(len(data)) {
+				t.Errorf("%s: ledger books %d bytes, the stream has %d", what, c.Logs.TotalBytes, len(data))
+			}
+			info, err := replay.Stat(bytes.NewReader(data))
 			if err != nil {
-				t.Fatalf("%s/%s: Stat: %v", name, label, err)
+				t.Fatalf("%s: Stat: %v", what, err)
 			}
 			if info.Streams != c.Logs {
-				t.Errorf("%s/%s: Stat ledger %+v, writer's %+v", name, label, info.Streams, c.Logs)
+				t.Errorf("%s: Stat ledger %+v, writer's %+v", what, info.Streams, c.Logs)
+			}
+			for class := vm.SyncMutex; class <= vm.SyncSpawn; class++ {
+				if got, want := info.OrderByClass[class.String()], int64(c.Log.OrderCount(class)); got != want {
+					t.Errorf("%s: Stat counts %d %s records, the recording %d", what, got, class, want)
+				}
+			}
+			for kind := vm.EvAcquire; kind <= vm.EvWLForcedRelease; kind++ {
+				if got, want := info.OrderByKind[kind.String()], int64(c.Log.KindCount(kind)); got != want {
+					t.Errorf("%s: Stat counts %d %s records, the recording %d", what, got, kind, want)
+				}
+			}
+			wl := c.WeakLocks()
+			if wl.OrderLogEntries != info.OrderByClass["weaklock"] || wl.AcquireOrderEntries != info.OrderByKind["wlacq"] ||
+				wl.OrderLogEntries != wl.Acquires+wl.Releases+wl.Forced || wl.AcquireOrderEntries != wl.Acquires {
+				t.Errorf("%s: weak-lock metrics %+v, Stat %v %v", what, *wl, info.OrderByClass, info.OrderByKind)
+			}
+			syncOps := info.OrderByClass["mutex"] + info.OrderByClass["barrier"] + info.OrderByClass["cond"] + info.OrderByClass["spawn"]
+			if int64(c.Log.InputCount()) != info.Streams.InputRecords ||
+				int64(c.Log.OrderCount(vm.SyncMutex, vm.SyncBarrier, vm.SyncCond, vm.SyncSpawn)) != syncOps {
+				t.Errorf("%s: recording counts %d inputs and %d sync ops, Stat %d and %d", what,
+					c.Log.InputCount(), c.Log.OrderCount(vm.SyncMutex, vm.SyncBarrier, vm.SyncCond, vm.SyncSpawn),
+					info.Streams.InputRecords, syncOps)
 			}
 			multiInput = multiInput || c.Logs.InputChunks > 1
 			multiOrder = multiOrder || c.Logs.OrderChunks > 1

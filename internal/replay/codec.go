@@ -26,11 +26,11 @@ package replay
 // records in commit order as they happen (LogWriter) and the reader can
 // decode incrementally (LogCursor) — neither side ever materializes the
 // whole log, and each chunk's integrity is checked before any of its
-// records are trusted. LogCursor is the only parser of the format: ReadLog,
-// the stream replayer and Stat all read through it. Chunks are homogeneous
-// by kind, so compressed bytes are attributable to the input vs order
-// stream; both sides account for them in one ledger, obs.LogStreams (the
-// harness's record_log_bytes / order_log_bytes metrics).
+// records are trusted. LogCursor is the only parser of the format: the
+// replayer and Stat both read through it. Chunks are homogeneous by kind,
+// so compressed bytes are attributable to the input vs order stream; both
+// sides account for them in one ledger, obs.LogStreams (the harness's
+// record_log_bytes / order_log_bytes metrics).
 
 import (
 	"bytes"
@@ -46,8 +46,9 @@ import (
 	"repro/internal/vm"
 )
 
+// wordReader decodes little-endian words straight from a chunk payload.
 type wordReader struct {
-	r   *bytes.Reader
+	b   []byte
 	err error
 }
 
@@ -55,15 +56,17 @@ func (wr *wordReader) next() int64 {
 	if wr.err != nil {
 		return 0
 	}
-	var v int64
-	if err := binary.Read(wr.r, binary.LittleEndian, &v); err != nil {
-		wr.err = err
+	if len(wr.b) < 8 {
+		wr.err = io.ErrUnexpectedEOF
+		return 0
 	}
+	v := int64(binary.LittleEndian.Uint64(wr.b))
+	wr.b = wr.b[8:]
 	return v
 }
 
 // remaining returns how many whole words are left to read.
-func (wr *wordReader) remaining() int64 { return int64(wr.r.Len() / 8) }
+func (wr *wordReader) remaining() int64 { return int64(len(wr.b) / 8) }
 
 func decodeSyncKey(wr *wordReader) (vm.SyncKey, error) {
 	class := wr.next()
@@ -150,10 +153,9 @@ const chunkTarget = 64 << 10
 const maxChunkLen = 64 << 20
 
 // LogWriter streams a recording to w in the chunked format as records
-// arrive, without building the whole Log in memory first. Records of each
-// stream accumulate in a pending buffer that is compressed and flushed as
-// one chunk when it reaches chunkTarget (and finally on Close). Attach one
-// to a Recorder to capture a run's log on the fly.
+// arrive. Records of each stream accumulate in a pending buffer that is
+// compressed and flushed as one chunk when it reaches chunkTarget (and
+// finally on Close). A Recorder writes its run's log through one.
 type LogWriter struct {
 	w       io.Writer
 	inBuf   bytes.Buffer // pending uncompressed input records
@@ -161,9 +163,17 @@ type LogWriter struct {
 	zbuf    bytes.Buffer
 	zw      *gzip.Writer
 	stats   obs.LogStreams // the ledger of what was written
+	counts  orderCounts
 	started bool
 	closed  bool
 	err     error
+}
+
+// orderCounts counts order records by sync class and by event kind. Both
+// are uint8s, so any value a record carries indexes them.
+type orderCounts struct {
+	byClass [256]int64
+	byKind  [256]int64
 }
 
 // NewLogWriter returns a streaming writer over w.
@@ -202,6 +212,8 @@ func (lw *LogWriter) Order(key vm.SyncKey, rec OrderRec) {
 		return
 	}
 	lw.stats.OrderRecords++
+	lw.counts.byClass[key.Class]++
+	lw.counts.byKind[rec.Kind]++
 	putWord(&lw.ordBuf, int64(key.Class))
 	putWord(&lw.ordBuf, key.ID)
 	putWord(&lw.ordBuf, int64(rec.Tid)<<8|int64(rec.Kind))
@@ -324,19 +336,25 @@ type StreamRecord struct {
 
 // LogCursor incrementally decodes a chunked log from r: one chunk is
 // buffered (and CRC-verified) at a time, and Next yields records until the
-// end marker. It is the only CHIMLOG2 parser: ReadLog, NewStreamReplayer
-// and Stat all read through it.
+// end marker. It is the only CHIMLOG2 parser: NewStreamReplayer and Stat
+// both read through it. One decompressor and its payload buffers serve
+// every chunk.
 type LogCursor struct {
 	r       io.Reader
+	only    byte // when non-zero, chunks of any other kind are skipped unread
 	started bool
 	done    bool
 	err     error
-	hdr     chunkHeader // the current chunk's header
-	words   *wordReader // current chunk payload
+	hdr     chunkHeader  // the current chunk's header
+	words   wordReader   // the current chunk's undecoded payload
+	rec     StreamRecord // the record advance decoded last
+
+	comp []byte       // compressed payload
+	zr   *gzip.Reader // over comp
+	raw  bytes.Buffer // decompressed payload
 }
 
-// NewLogCursor returns a cursor over a stream written by LogWriter (or
-// Log.WriteTo).
+// NewLogCursor returns a cursor over a stream written by LogWriter.
 func NewLogCursor(r io.Reader) *LogCursor {
 	return &LogCursor{r: r}
 }
@@ -345,38 +363,48 @@ func NewLogCursor(r io.Reader) *LogCursor {
 // error means the stream is corrupt; the cursor is then stuck on that
 // error.
 func (c *LogCursor) Next() (StreamRecord, error) {
-	for {
-		if c.err != nil {
-			return StreamRecord{}, c.err
-		}
-		if c.words != nil && c.words.r.Len() > 0 {
-			return c.decodeRecord()
-		}
-		if err := c.nextChunk(); err != nil {
-			c.err = err
-			return StreamRecord{}, err
-		}
+	if err := c.advance(); err != nil {
+		return StreamRecord{}, err
 	}
+	if c.rec.IsInput {
+		return StreamRecord{IsInput: true, Tid: c.rec.Tid, Input: c.rec.Input}, nil
+	}
+	return StreamRecord{Key: c.rec.Key, Order: c.rec.Order}, nil
 }
 
-func (c *LogCursor) fail(format string, args ...any) (StreamRecord, error) {
-	c.err = fmt.Errorf("replay: "+format, args...)
-	return StreamRecord{}, c.err
+// advance decodes the next record into c.rec. Of c.rec, only IsInput and
+// the fields of its kind are set. Errors are Next's.
+func (c *LogCursor) advance() error {
+	for c.err == nil {
+		if len(c.words.b) > 0 {
+			c.err = c.decodeRecord()
+			return c.err
+		}
+		c.err = c.nextChunk()
+	}
+	return c.err
 }
 
-func (c *LogCursor) decodeRecord() (StreamRecord, error) {
-	wr := c.words
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("replay: "+format, args...)
+}
+
+// decodeRecord decodes the current chunk's next record into c.rec.
+func (c *LogCursor) decodeRecord() error {
+	wr, rec := &c.words, &c.rec
 	switch c.hdr.kind {
 	case chunkInput:
-		rec := StreamRecord{IsInput: true, Tid: int(wr.next())}
+		rec.IsInput = true
+		rec.Tid = int(wr.next())
 		rec.Input.Op = types.BuiltinOp(wr.next())
 		rec.Input.Val = wr.next()
+		rec.Input.Data = nil
 		dn := wr.next()
 		if wr.err != nil {
-			return c.fail("truncated input record")
+			return corrupt("truncated input record")
 		}
 		if dn < 0 || dn > wr.remaining() {
-			return c.fail("corrupt input record (data length %d, %d words remain)", dn, wr.remaining())
+			return corrupt("corrupt input record (data length %d, %d words remain)", dn, wr.remaining())
 		}
 		if dn > 0 {
 			rec.Input.Data = make([]int64, dn)
@@ -384,28 +412,29 @@ func (c *LogCursor) decodeRecord() (StreamRecord, error) {
 				rec.Input.Data[k] = wr.next()
 			}
 		}
-		return rec, nil
+		return nil
 	case chunkOrder:
+		rec.IsInput = false
 		key, err := decodeSyncKey(wr)
 		if err != nil {
-			c.err = err
-			return StreamRecord{}, err
+			return err
 		}
 		orec, err := decodeOrderRec(wr)
 		if err != nil {
-			c.err = err
-			return StreamRecord{}, err
+			return err
 		}
 		if wr.err != nil {
-			return c.fail("truncated order record")
+			return corrupt("truncated order record")
 		}
-		return StreamRecord{Key: key, Order: orec}, nil
+		rec.Key, rec.Order = key, orec
+		return nil
 	}
-	return c.fail("internal: bad chunk kind %d", c.hdr.kind)
+	return corrupt("internal: bad chunk kind %d", c.hdr.kind)
 }
 
-// nextChunk reads, verifies, and decompresses the next chunk into c.words.
-// At the end marker it checks nothing follows and returns io.EOF.
+// nextChunk reads, verifies, and decompresses the next chunk into c.words;
+// a chunk of a kind the cursor skips leaves c.words empty. At the end
+// marker it checks nothing follows and returns io.EOF.
 func (c *LogCursor) nextChunk() error {
 	if c.done {
 		return io.EOF
@@ -442,69 +471,45 @@ func (c *LogCursor) nextChunk() error {
 	if ulen == 0 || ulen > maxChunkLen || ulen%8 != 0 || clen == 0 || clen > maxChunkLen {
 		return fmt.Errorf("replay: corrupt chunk header (ulen=%d clen=%d)", ulen, clen)
 	}
-	comp := make([]byte, clen)
+	if c.only != 0 && kind != c.only {
+		// Only the replayer's cursors skip, and each reads its own
+		// io.SectionReader of the stream.
+		if _, err := c.r.(io.Seeker).Seek(int64(clen), io.SeekCurrent); err != nil {
+			return fmt.Errorf("replay: truncated chunk: %w", err)
+		}
+		return nil
+	}
+	if cap(c.comp) < int(clen) {
+		c.comp = make([]byte, clen)
+	}
+	comp := c.comp[:clen]
 	if _, err := io.ReadFull(c.r, comp); err != nil {
 		return fmt.Errorf("replay: truncated chunk: %w", err)
 	}
 	if got := crc32.ChecksumIEEE(comp); got != crc {
 		return fmt.Errorf("replay: chunk CRC mismatch (got %08x, want %08x)", got, crc)
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(comp))
+	var err error
+	if c.zr == nil {
+		c.zr, err = gzip.NewReader(bytes.NewReader(comp))
+	} else {
+		err = c.zr.Reset(bytes.NewReader(comp))
+	}
 	if err != nil {
 		return fmt.Errorf("replay: bad chunk stream: %w", err)
 	}
-	raw := make([]byte, 0, ulen)
-	rbuf := bytes.NewBuffer(raw)
-	if _, err := io.Copy(rbuf, io.LimitReader(zr, int64(ulen)+1)); err != nil {
+	c.raw.Reset()
+	c.raw.Grow(int(ulen) + bytes.MinRead)
+	if _, err := c.raw.ReadFrom(io.LimitReader(c.zr, int64(ulen)+1)); err != nil {
 		return fmt.Errorf("replay: bad chunk stream: %w", err)
 	}
-	if err := zr.Close(); err != nil {
+	if err := c.zr.Close(); err != nil {
 		return fmt.Errorf("replay: bad chunk stream: %w", err)
 	}
-	if rbuf.Len() != int(ulen) {
-		return fmt.Errorf("replay: chunk length mismatch (got %d, want %d)", rbuf.Len(), ulen)
+	if c.raw.Len() != int(ulen) {
+		return fmt.Errorf("replay: chunk length mismatch (got %d, want %d)", c.raw.Len(), ulen)
 	}
 	c.hdr = chunkHeader{kind: kind, ulen: ulen, clen: clen, crc: crc}
-	c.words = &wordReader{r: bytes.NewReader(rbuf.Bytes())}
+	c.words = wordReader{b: c.raw.Bytes()}
 	return nil
-}
-
-// ---------------------------------------------------------------------------
-// Whole-log convenience paths
-
-// WriteTo writes the whole log to w in the chunked format.
-func (l *Log) WriteTo(w io.Writer) (int64, error) {
-	lw := NewLogWriter(w)
-	for _, tid := range l.sortedInputTids() {
-		for _, rec := range l.Inputs[tid] {
-			lw.Input(tid, rec)
-		}
-	}
-	for _, key := range l.sortedOrderKeys() {
-		for _, rec := range l.Orders[key] {
-			lw.Order(key, rec)
-		}
-	}
-	err := lw.Close()
-	return lw.Stats().TotalBytes, err
-}
-
-// ReadLog parses a log written by WriteTo (or streamed by LogWriter).
-func ReadLog(r io.Reader) (*Log, error) {
-	l := NewLog()
-	cur := NewLogCursor(r)
-	for {
-		rec, err := cur.Next()
-		if err == io.EOF {
-			return l, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		if rec.IsInput {
-			l.Inputs[rec.Tid] = append(l.Inputs[rec.Tid], rec.Input)
-		} else {
-			l.Orders[rec.Key] = append(l.Orders[rec.Key], rec.Order)
-		}
-	}
 }

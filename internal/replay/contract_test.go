@@ -2,6 +2,7 @@ package replay_test
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"sync"
@@ -16,21 +17,46 @@ import (
 	"repro/internal/vm"
 )
 
-// replayBoth replays log against p through both replayer constructors:
-// straight from the in-memory Log, and from its CHIMLOG2 encoding.
-func replayBoth(t *testing.T, ip *core.Instrumented, log *replay.Log, rc core.RunConfig) (mem, stream *vm.Result, memErr, streamErr error) {
-	t.Helper()
-	mem, memErr = ip.Replay(log, rc)
-	var buf bytes.Buffer
-	if _, err := log.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+// records decodes every record of a stream, in stream order.
+func records(tb testing.TB, data []byte) []replay.StreamRecord {
+	tb.Helper()
+	var recs []replay.StreamRecord
+	cur := replay.NewLogCursor(bytes.NewReader(data))
+	for {
+		r, err := cur.Next()
+		if err == io.EOF {
+			return recs
+		}
+		if err != nil {
+			tb.Fatal(err)
+		}
+		recs = append(recs, r)
 	}
-	rep, err := replay.NewStreamReplayer(bytes.NewReader(buf.Bytes()), rc.Cost)
+}
+
+// encode writes recs through a LogWriter in order and returns the stream.
+func encode(recs []replay.StreamRecord) []byte {
+	var out bytes.Buffer
+	lw := replay.NewLogWriter(&out)
+	for _, r := range recs {
+		if r.IsInput {
+			lw.Input(r.Tid, r.Input)
+		} else {
+			lw.Order(r.Key, r.Order)
+		}
+	}
+	lw.Close()
+	return out.Bytes()
+}
+
+// replayBytes replays a stream against ip.
+func replayBytes(t *testing.T, ip *core.Instrumented, data []byte, rc core.RunConfig) (*vm.Result, error) {
+	t.Helper()
+	rep, err := replay.NewStreamReplayer(bytes.NewReader(data), rc.Cost)
 	if err != nil {
 		t.Fatalf("open stream: %v", err)
 	}
-	stream, streamErr = core.Replay(ip.Prog, ip.Table, rep, rc)
-	return mem, stream, memErr, streamErr
+	return core.Replay(ip.Prog, ip.Table, rep, rc)
 }
 
 // oversizedSrc reads one word into a one-word buffer that sits right
@@ -78,36 +104,32 @@ func TestReplayRejectsOversizedRead(t *testing.T) {
 	if got := strings.Fields(string(rec.Output)); !reflect.DeepEqual(got, []string{"1", "5", "7"}) {
 		t.Fatalf("recorded output %q, want 1 5 7", rec.Output)
 	}
-	read := &log.Inputs[0][1]
-	if read.Op != types.BRead {
-		t.Fatalf("second input record is %s, want read", types.BuiltinName(read.Op))
+	recs := records(t, log.Bytes())
+	read := &recs[1]
+	if !read.IsInput || read.Input.Op != types.BRead {
+		t.Fatalf("second record is not a read: %+v", *read)
 	}
-	read.Data = append(read.Data, 99)
+	read.Input.Data = append(read.Input.Data, 99)
 
-	mem, stream, memErr, streamErr := replayBoth(t, ip, log, core.RunConfig{World: oskit.NewWorld(2), Seed: 9})
+	res, err := replayBytes(t, ip, encode(recs), core.RunConfig{World: oskit.NewWorld(2), Seed: 9})
 	const want = "thread 0 read record carries 2 words for a 1-word request"
-	for name, err := range map[string]error{"in-memory": memErr, "stream": streamErr} {
-		if err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("%s replay error %v, want %q", name, err, want)
-		}
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Errorf("replay error %v, want %q", err, want)
 	}
-	for name, res := range map[string]*vm.Result{"in-memory": mem, "stream": stream} {
-		if res != nil && strings.Contains(string(res.Output), "99") {
-			t.Errorf("%s replay wrote the extra word: output %q", name, res.Output)
-		}
+	if res != nil && strings.Contains(string(res.Output), "99") {
+		t.Errorf("replay wrote the extra word: output %q", res.Output)
 	}
 }
 
 // TestReplayRequiresAllInputs appends an input record the program never
-// asks for: both replayer sources must report the log as not drained.
+// asks for: the replay must report the log as not drained.
 func TestReplayRequiresAllInputs(t *testing.T) {
 	ip, log, _ := recordSmall(t, oversizedSrc)
-	log.Inputs[0] = append(log.Inputs[0], replay.InputRec{Op: log.Inputs[0][0].Op, Val: 3})
-	_, _, memErr, streamErr := replayBoth(t, ip, log, core.RunConfig{World: oskit.NewWorld(2), Seed: 9})
-	for name, err := range map[string]error{"in-memory": memErr, "stream": streamErr} {
-		if err == nil || !strings.Contains(err.Error(), "not fully consumed") {
-			t.Errorf("%s replay error %v, want an undrained log", name, err)
-		}
+	recs := records(t, log.Bytes())
+	recs = append(recs, replay.StreamRecord{IsInput: true, Input: replay.InputRec{Op: recs[0].Input.Op, Val: 3}})
+	_, err := replayBytes(t, ip, encode(recs), core.RunConfig{World: oskit.NewWorld(2), Seed: 9})
+	if err == nil || !strings.Contains(err.Error(), "not fully consumed") {
+		t.Errorf("replay error %v, want an undrained log", err)
 	}
 }
 
@@ -134,43 +156,15 @@ func benchRecording(t *testing.T, name string) (*core.Instrumented, *replay.Log,
 	}
 }
 
-// TestReplaySourcesAgree replays recordings that hold both input records
-// and weak-lock order records through both constructors: the in-memory
-// and the streamed source must drive identical executions.
-func TestReplaySourcesAgree(t *testing.T) {
-	for _, name := range []string{"pfscan", "knot", "pbzip2"} {
-		ip, log, rec, replayRC := benchRecording(t, name)
-		if log.InputCount() == 0 || log.OrderCount(vm.SyncWeakLock) == 0 {
-			t.Fatalf("%s: want input and weak-lock records, got %d and %d",
-				name, log.InputCount(), log.OrderCount(vm.SyncWeakLock))
-		}
-		mem, stream, memErr, streamErr := replayBoth(t, ip, log, replayRC())
-		if memErr != nil || streamErr != nil {
-			t.Fatalf("%s: replay errors: in-memory %v, stream %v", name, memErr, streamErr)
-		}
-		if mem.Hash64() != rec.Hash64() {
-			t.Errorf("%s: replay hash %x, recorded %x", name, mem.Hash64(), rec.Hash64())
-		}
-		if mem.Hash64() != stream.Hash64() || mem.Makespan != stream.Makespan ||
-			mem.Counters != stream.Counters || !reflect.DeepEqual(mem.WLStats, stream.WLStats) {
-			t.Errorf("%s: in-memory and stream replays differ:\n%+v %+v\n%+v %+v",
-				name, mem.Counters, mem.WLStats, stream.Counters, stream.WLStats)
-		}
-	}
-}
-
-// TestReplayerLeavesLogUnchanged runs two replays of one Log at once: the
-// replayer shares the log's slices, so it must never write to them.
+// TestReplayerLeavesLogUnchanged runs two replays of one recording at
+// once: both decode the recording's bytes, and neither may write to them.
 func TestReplayerLeavesLogUnchanged(t *testing.T) {
 	ip, log, rec, replayRC := benchRecording(t, "pfscan")
-	var buf bytes.Buffer
-	if _, err := log.WriteTo(&buf); err != nil {
-		t.Fatal(err)
+	if log.InputCount() == 0 || log.OrderCount(vm.SyncWeakLock) == 0 {
+		t.Fatalf("want input and weak-lock records, got %d and %d",
+			log.InputCount(), log.OrderCount(vm.SyncWeakLock))
 	}
-	before, err := replay.ReadLog(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	before := append([]byte(nil), log.Bytes()...)
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -185,7 +179,7 @@ func TestReplayerLeavesLogUnchanged(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if !reflect.DeepEqual(log, before) {
+	if !bytes.Equal(log.Bytes(), before) {
 		t.Fatalf("replay modified the log")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/minic/parser"
 	"repro/internal/minic/types"
@@ -90,7 +91,7 @@ func setupWL(t *testing.T, name, src string) (*vm.Program, *weaklock.Table) {
 func TestForcedPreemptionRecordAndReplay(t *testing.T) {
 	p, tbl := forcedSetup(t)
 
-	rec := replay.NewRecorder(oskit.NewWorld(1), vm.DefaultCost())
+	rec := replay.NewRecorder(oskit.NewWorld(1), vm.DefaultCost(), nil)
 	recRes := vm.Run(p, vm.Config{
 		Inputs: rec, Monitor: rec, WL: tbl,
 		Seed: 3, WLTimeout: 50_000,
@@ -101,26 +102,24 @@ func TestForcedPreemptionRecordAndReplay(t *testing.T) {
 	if recRes.WLStats.Timeouts == 0 {
 		t.Fatalf("scenario should force a preemption during recording")
 	}
-	log := rec.Log()
+	log, err := rec.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The log carries the anchored forced record.
-	foundForced := false
-	for _, recs := range log.Orders {
-		for _, r := range recs {
-			if r.Kind == vm.EvWLForcedRelease {
-				foundForced = true
-				if !r.Anchor.Blocked {
-					t.Errorf("holder was parked in cond_wait; anchor should be Blocked")
-				}
-			}
-		}
-	}
-	if !foundForced {
+	forced := forcedRecords(t, log.Bytes())
+	if len(forced) == 0 {
 		t.Fatalf("no forced record in the log")
+	}
+	for _, r := range forced {
+		if !r.Anchor.Blocked {
+			t.Errorf("holder was parked in cond_wait; anchor should be Blocked")
+		}
 	}
 
 	for _, repSeed := range []uint64{999, 123456, 7} {
-		rep := replay.NewReplayer(log, vm.DefaultCost())
+		rep := openStream(t, log.Bytes())
 		repRes := vm.Run(p, vm.Config{
 			Inputs: rep, Monitor: rep, WL: tbl,
 			Seed: repSeed, DisableTimeouts: true,
@@ -143,6 +142,29 @@ func TestForcedPreemptionRecordAndReplay(t *testing.T) {
 				repRes.WLStats.Timeouts, recRes.WLStats.Timeouts)
 		}
 	}
+}
+
+// forcedRecords returns a stream's forced-preemption records, in commit
+// order.
+func forcedRecords(t *testing.T, data []byte) []replay.OrderRec {
+	t.Helper()
+	var out []replay.OrderRec
+	for _, r := range records(t, data) {
+		if !r.IsInput && r.Order.Kind == vm.EvWLForcedRelease {
+			out = append(out, r.Order)
+		}
+	}
+	return out
+}
+
+// openStream returns a replayer over a stream.
+func openStream(t *testing.T, data []byte) *replay.Replayer {
+	t.Helper()
+	rep, err := replay.NewStreamReplayer(bytes.NewReader(data), vm.DefaultCost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 // TestForcedPreemptionViaCore exercises the same path through the public
@@ -173,6 +195,44 @@ func TestForcedPreemptionViaCore(t *testing.T) {
 	}
 	if repRes.Hash64() != recRes.Hash64() {
 		t.Fatalf("replay diverged")
+	}
+}
+
+// TestForcedPreemptionOfStalledReacquire replays a recording in which a
+// thread stalled reacquiring one weak-lock is preempted of another: water
+// under instr with a 2000-cycle timeout forces weaklock:0 from thread 2
+// while it waits to reacquire weaklock:1. In replay weaklock:1 is free when
+// thread 2 gets there, so the preemption must fire at that acquire's gate,
+// before the acquire commits and moves the thread past its anchor.
+func TestForcedPreemptionOfStalledReacquire(t *testing.T) {
+	b := bench.ByName("water")
+	prog, err := core.Load(b.Name, b.FullSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	config, _ := core.ParseConfig("instr")
+	ip, err := prog.InstrumentAs(config, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := replay.NewRecorder(b.EvalWorld(4), vm.CostModel{}, nil)
+	recRes := vm.Run(ip.Prog.Code, vm.Config{Inputs: rec, Monitor: rec, WL: ip.Table, Seed: 1, WLTimeout: 2000})
+	if recRes.Err != nil || recRes.WLStats.Timeouts == 0 {
+		t.Fatalf("record: err %v, %d timeouts; want forced preemptions", recRes.Err, recRes.WLStats.Timeouts)
+	}
+	log, err := rec.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []uint64{2, 987654} {
+		repRes, err := core.Replay(ip.Prog, ip.Table, openStream(t, log.Bytes()), core.RunConfig{World: b.EvalWorld(4), Seed: seed})
+		if err != nil {
+			t.Fatalf("replay seed %d: %v", seed, err)
+		}
+		if repRes.Hash64() != recRes.Hash64() || repRes.WLStats.Timeouts != recRes.WLStats.Timeouts {
+			t.Fatalf("replay seed %d: hash %x with %d preemptions, recorded %x with %d", seed,
+				repRes.Hash64(), repRes.WLStats.Timeouts, recRes.Hash64(), recRes.WLStats.Timeouts)
+		}
 	}
 }
 
@@ -215,16 +275,13 @@ int main(void) {
 
 // TestForcedPreemptionRunningAnchor replays running-anchored forced
 // preemptions — the injection path that fires before an instruction —
-// through both replayer sources, with and without sinks. Each of a
-// thread's anchors is injected only if the VM reloads the thread's next
-// anchor after committing the previous one.
+// with and without sinks. Each of a thread's anchors is injected only if
+// the VM reloads the thread's next anchor after committing the previous
+// one.
 func TestForcedPreemptionRunningAnchor(t *testing.T) {
 	p, tbl := setupWL(t, "running.mc", runningSrc)
 
-	rec := replay.NewRecorder(oskit.NewWorld(1), vm.DefaultCost())
-	var stream bytes.Buffer
-	lw := replay.NewLogWriter(&stream)
-	rec.AttachWriter(lw)
+	rec := replay.NewRecorder(oskit.NewWorld(1), vm.DefaultCost(), nil)
 	recRes := vm.Run(p, vm.Config{
 		Inputs: rec, Monitor: rec, WL: tbl,
 		Seed: 3, WLTimeout: 20_000,
@@ -232,57 +289,41 @@ func TestForcedPreemptionRunningAnchor(t *testing.T) {
 	if recRes.Err != nil {
 		t.Fatalf("record: %v", recRes.Err)
 	}
-	if err := lw.Close(); err != nil {
+	log, err := rec.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	log := rec.Log()
 
 	running := map[int32]int{}
-	for _, recs := range log.Orders {
-		for _, r := range recs {
-			if r.Kind == vm.EvWLForcedRelease {
-				if r.Anchor.Blocked {
-					t.Fatalf("owner was running, anchor %+v is blocked", r.Anchor)
-				}
-				running[r.Tid]++
-			}
+	for _, r := range forcedRecords(t, log.Bytes()) {
+		if r.Anchor.Blocked {
+			t.Fatalf("owner was running, anchor %+v is blocked", r.Anchor)
 		}
+		running[r.Tid]++
 	}
 	if len(running) != 1 || recRes.WLStats.Timeouts != 3 {
 		t.Fatalf("want 3 running anchors on one thread, got %v (timeouts %d)", running, recRes.WLStats.Timeouts)
 	}
 
-	sources := map[string]func() *replay.Replayer{
-		"memory": func() *replay.Replayer { return replay.NewReplayer(log, vm.DefaultCost()) },
-		"stream": func() *replay.Replayer {
-			r, err := replay.NewStreamReplayer(bytes.NewReader(stream.Bytes()), vm.DefaultCost())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return r
-		},
-	}
 	for _, repSeed := range []uint64{999, 123456, 7} {
-		for src, open := range sources {
-			for _, sinks := range [][]vm.EventSink{nil, sinkSet()} {
-				rep := open()
-				repRes := vm.Run(p, vm.Config{
-					Inputs: rep, Monitor: rep, WL: tbl,
-					Seed: repSeed, DisableTimeouts: true, Sinks: sinks,
-				})
-				what := fmt.Sprintf("seed %d, %s replayer, %d sinks", repSeed, src, len(sinks))
-				if repRes.Err != nil || rep.Err() != nil {
-					t.Fatalf("%s: %v / %v", what, repRes.Err, rep.Err())
-				}
-				if !rep.Drained() {
-					t.Fatalf("%s: log not drained", what)
-				}
-				if repRes.Hash64() != recRes.Hash64() {
-					t.Fatalf("%s diverged:\nrecorded %q\nreplayed %q", what, recRes.Output, repRes.Output)
-				}
-				if repRes.WLStats.Timeouts != recRes.WLStats.Timeouts {
-					t.Errorf("%s: injected %d preemptions, recorded %d", what, repRes.WLStats.Timeouts, recRes.WLStats.Timeouts)
-				}
+		for _, sinks := range [][]vm.EventSink{nil, sinkSet()} {
+			rep := openStream(t, log.Bytes())
+			repRes := vm.Run(p, vm.Config{
+				Inputs: rep, Monitor: rep, WL: tbl,
+				Seed: repSeed, DisableTimeouts: true, Sinks: sinks,
+			})
+			what := fmt.Sprintf("seed %d, %d sinks", repSeed, len(sinks))
+			if repRes.Err != nil || rep.Err() != nil {
+				t.Fatalf("%s: %v / %v", what, repRes.Err, rep.Err())
+			}
+			if !rep.Drained() {
+				t.Fatalf("%s: log not drained", what)
+			}
+			if repRes.Hash64() != recRes.Hash64() {
+				t.Fatalf("%s diverged:\nrecorded %q\nreplayed %q", what, recRes.Output, repRes.Output)
+			}
+			if repRes.WLStats.Timeouts != recRes.WLStats.Timeouts {
+				t.Errorf("%s: injected %d preemptions, recorded %d", what, repRes.WLStats.Timeouts, recRes.WLStats.Timeouts)
 			}
 		}
 	}

@@ -11,10 +11,10 @@ import (
 	"repro/internal/vm"
 )
 
-// realLog records an actual concurrent run with input operations, so the
-// fuzz corpora are seeded with genuinely-shaped logs rather than only
-// hand-built ones.
-func realLog(f *testing.F) *Log {
+// realLog records an actual concurrent run with input operations and
+// returns its stream, so the fuzz corpora are seeded with genuinely-shaped
+// logs rather than only hand-built ones.
+func realLog(f *testing.F) []byte {
 	f.Helper()
 	src := `
 int m;
@@ -45,12 +45,16 @@ int main(void) {
 	}
 	w := oskit.NewWorld(1)
 	w.AddFile(5, []int64{10, 20, 30, 40})
-	rec := NewRecorder(w, vm.DefaultCost())
+	rec := NewRecorder(w, vm.DefaultCost(), nil)
 	r := vm.Run(p, vm.Config{Inputs: rec, Monitor: rec, Seed: 9})
 	if r.Err != nil {
 		f.Fatal(r.Err)
 	}
-	return rec.Log()
+	log, err := rec.Close()
+	if err != nil {
+		f.Fatal(err)
+	}
+	return log.Bytes()
 }
 
 // seedVariants adds data plus truncated and bit-flipped mutants of it.
@@ -68,18 +72,20 @@ func seedVariants(f *testing.F, data []byte) {
 	}
 }
 
-// payloads returns l's input and order records as raw chunk payloads, in
-// the order Log.WriteTo streams them.
-func payloads(l *Log) (in, ord []byte) {
-	lw := NewLogWriter(io.Discard)
-	for _, tid := range l.sortedInputTids() {
-		for _, rec := range l.Inputs[tid] {
-			lw.Input(tid, rec)
-		}
+// payloads decodes a stream and returns its input and order records as raw
+// chunk payloads, in stream order.
+func payloads(f *testing.F, data []byte) (in, ord []byte) {
+	f.Helper()
+	recs, err := decode(data)
+	if err != nil {
+		f.Fatal(err)
 	}
-	for _, key := range l.sortedOrderKeys() {
-		for _, rec := range l.Orders[key] {
-			lw.Order(key, rec)
+	lw := NewLogWriter(io.Discard)
+	for _, r := range recs {
+		if r.IsInput {
+			lw.Input(r.Tid, r.Input)
+		} else {
+			lw.Order(r.Key, r.Order)
 		}
 	}
 	return lw.inBuf.Bytes(), lw.ordBuf.Bytes()
@@ -100,55 +106,61 @@ func chunkStream(order bool, payload []byte) []byte {
 	return buf.Bytes()
 }
 
-// checkStat requires Stat to accept exactly the stream ReadLog accepted
-// (l, err), failing with the same error, and to count the records l holds.
-func checkStat(t *testing.T, data []byte, l *Log, err error) {
+// checkStat requires Stat to accept exactly the stream the cursor
+// accepted (recs, err), failing with the same error, and to count the
+// records the cursor decoded.
+func checkStat(t *testing.T, data []byte, recs []StreamRecord, err error) {
 	t.Helper()
 	info, serr := Stat(bytes.NewReader(data))
 	if (serr == nil) != (err == nil) || (err != nil && serr.Error() != err.Error()) {
-		t.Fatalf("ReadLog error %v, Stat error %v", err, serr)
+		t.Fatalf("cursor error %v, Stat error %v", err, serr)
 	}
 	if err != nil {
 		return
 	}
-	if info.Streams.InputRecords != int64(l.InputCount()) || info.Streams.OrderRecords != int64(l.OrderCount()) {
-		t.Fatalf("Stat counted %d input and %d order records, the log holds %d and %d",
-			info.Streams.InputRecords, info.Streams.OrderRecords, l.InputCount(), l.OrderCount())
+	var in, ord int64
+	for _, r := range recs {
+		if r.IsInput {
+			in++
+		} else {
+			ord++
+		}
+	}
+	if info.Streams.InputRecords != in || info.Streams.OrderRecords != ord {
+		t.Fatalf("Stat counted %d input and %d order records, the cursor decoded %d and %d",
+			info.Streams.InputRecords, info.Streams.OrderRecords, in, ord)
 	}
 }
 
-// checkChunkPayload wraps payload in one CRC-valid input or order chunk:
-// ReadLog, NewStreamReplayer and Stat must never panic, must agree on what
-// they accept, and every accepted log must round-trip through WriteTo.
-func checkChunkPayload(t *testing.T, order bool, payload []byte) {
+// checkStream reads data through a LogCursor, Stat and NewStreamReplayer:
+// none may panic, all three must agree on whether the stream is accepted,
+// and an accepted stream, re-encoded through a LogWriter in stream order,
+// must decode to the same records.
+func checkStream(t *testing.T, data []byte) {
 	t.Helper()
-	data := chunkStream(order, payload)
-	l, err := ReadLog(bytes.NewReader(data))
+	recs, err := decode(data)
 	if _, serr := NewStreamReplayer(bytes.NewReader(data), vm.CostModel{}); (serr == nil) != (err == nil) {
-		t.Fatalf("ReadLog error %v, NewStreamReplayer error %v", err, serr)
+		t.Fatalf("cursor error %v, NewStreamReplayer error %v", err, serr)
 	}
-	checkStat(t, data, l, err)
+	checkStat(t, data, recs, err)
 	if err != nil {
 		return
 	}
-	var buf bytes.Buffer
-	if _, err := l.WriteTo(&buf); err != nil {
-		t.Fatalf("accepted log failed to re-encode: %v", err)
-	}
-	l2, err := ReadLog(&buf)
+	again, err := decode(encode(recs))
 	if err != nil {
-		t.Fatalf("re-encoded log failed to decode: %v", err)
+		t.Fatalf("re-encoded stream failed to decode: %v", err)
 	}
-	if !logsEqual(l, l2) {
-		t.Fatalf("chunk payload round-trip mismatch")
+	if !sameRecords(recs, again) {
+		t.Fatalf("stream round-trip mismatch")
 	}
 }
 
 // FuzzDecodeInput fuzzes the input record decoder behind the CRC, which
-// is what guards uploaded logs (see checkChunkPayload).
+// is what guards uploaded logs: each payload is wrapped in one CRC-valid
+// input chunk (chunkStream) and checked by checkStream.
 func FuzzDecodeInput(f *testing.F) {
-	realIn, _ := payloads(realLog(f))
-	sampleIn, _ := payloads(sampleLog())
+	realIn, _ := payloads(f, realLog(f))
+	sampleIn, _ := payloads(f, encode(sampleRecords()))
 	seedVariants(f, realIn)
 	seedVariants(f, sampleIn)
 	f.Add([]byte{})
@@ -157,14 +169,14 @@ func FuzzDecodeInput(f *testing.F) {
 		f.Add(c.payload)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		checkChunkPayload(t, false, payload)
+		checkStream(t, chunkStream(false, payload))
 	})
 }
 
 // FuzzDecodeOrder is the order-record counterpart of FuzzDecodeInput.
 func FuzzDecodeOrder(f *testing.F) {
-	_, realOrd := payloads(realLog(f))
-	_, sampleOrd := payloads(sampleLog())
+	_, realOrd := payloads(f, realLog(f))
+	_, sampleOrd := payloads(f, encode(sampleRecords()))
 	seedVariants(f, realOrd)
 	seedVariants(f, sampleOrd)
 	f.Add([]byte{})
@@ -172,48 +184,18 @@ func FuzzDecodeOrder(f *testing.F) {
 		f.Add(c.payload)
 	}
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		checkChunkPayload(t, true, payload)
+		checkStream(t, chunkStream(true, payload))
 	})
 }
 
-// FuzzReadLog drives the chunked container format: corrupt streams must
-// error (CRC, lengths, framing), Stat must accept exactly what ReadLog
-// accepts and count the same records, and accepted streams must
-// round-trip.
+// FuzzReadLog drives the whole chunked container format: corrupt streams
+// must error (CRC, lengths, framing) alike through the cursor, Stat and
+// NewStreamReplayer, and accepted streams must round-trip (checkStream).
 func FuzzReadLog(f *testing.F) {
-	var real bytes.Buffer
-	if _, err := realLog(f).WriteTo(&real); err != nil {
-		f.Fatal(err)
-	}
-	seedVariants(f, real.Bytes())
-	var sample bytes.Buffer
-	if _, err := sampleLog().WriteTo(&sample); err != nil {
-		f.Fatal(err)
-	}
-	seedVariants(f, sample.Bytes())
-	var empty bytes.Buffer
-	if _, err := NewLog().WriteTo(&empty); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty.Bytes())
+	seedVariants(f, realLog(f))
+	seedVariants(f, encode(sampleRecords()))
+	f.Add(encode(nil))
 	f.Add([]byte("CHIMLOG2"))
 	f.Add([]byte("CHIMLOG1junk"))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		l, err := ReadLog(bytes.NewReader(data))
-		checkStat(t, data, l, err)
-		if err != nil {
-			return
-		}
-		var buf bytes.Buffer
-		if _, err := l.WriteTo(&buf); err != nil {
-			t.Fatalf("accepted log failed to re-encode: %v", err)
-		}
-		l2, err := ReadLog(&buf)
-		if err != nil {
-			t.Fatalf("re-encoded log failed to decode: %v", err)
-		}
-		if !logsEqual(l, l2) {
-			t.Fatalf("chunked log round-trip mismatch")
-		}
-	})
+	f.Fuzz(checkStream)
 }

@@ -41,15 +41,15 @@ var invalidOrderPayloads = []namedPayload{
 	{"truncated forced anchor", words(int64(vm.SyncWeakLock), 5, 1<<8|int64(vm.EvWLForcedRelease), 12345)},
 }
 
-// requireRejected checks that ReadLog and NewStreamReplayer both reject
-// every payload, each wrapped in one CRC-valid input or order chunk.
+// requireRejected checks that the cursor and NewStreamReplayer both
+// reject every payload, each wrapped in one CRC-valid input or order chunk.
 func requireRejected(t *testing.T, order bool, cases []namedPayload) {
 	t.Helper()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			data := chunkStream(order, c.payload)
-			if _, err := ReadLog(bytes.NewReader(data)); err == nil {
-				t.Errorf("ReadLog accepted it")
+			if _, err := decode(data); err == nil {
+				t.Errorf("the cursor accepted it")
 			}
 			if _, err := NewStreamReplayer(bytes.NewReader(data), vm.CostModel{}); err == nil {
 				t.Errorf("NewStreamReplayer accepted it")
@@ -66,11 +66,11 @@ func requireRejected(t *testing.T, order bool, cases []namedPayload) {
 func TestDecodeInputBoundsRegression(t *testing.T) {
 	requireRejected(t, false, invalidInputPayloads)
 
-	l, err := ReadLog(bytes.NewReader(chunkStream(false, words(0, 1, 2, 2, 11, 22))))
-	if err != nil {
+	recs, err := decode(chunkStream(false, words(0, 1, 2, 2, 11, 22)))
+	if err != nil || len(recs) != 1 {
 		t.Fatalf("data length == remaining words must decode: %v", err)
 	}
-	if got := l.Inputs[0][0].Data; len(got) != 2 || got[0] != 11 || got[1] != 22 {
+	if got := recs[0].Input.Data; len(got) != 2 || got[0] != 11 || got[1] != 22 {
 		t.Fatalf("boundary decode wrong: %v", got)
 	}
 }
@@ -105,33 +105,29 @@ func TestLogWriterCounters(t *testing.T) {
 
 // TestChunkCorruptionDetected flips single bytes across an encoded log and
 // requires every corruption either to be detected or to decode to the
-// identical log (a flip inside gzip padding can be inert) — never a
+// identical records (a flip inside gzip padding can be inert) — never a
 // silently different log, never a panic.
 func TestChunkCorruptionDetected(t *testing.T) {
-	l := sampleLog()
-	var buf bytes.Buffer
-	if _, err := l.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	orig := buf.Bytes()
+	want := sampleRecords()
+	orig := encode(want)
 	for i := range orig {
 		mut := append([]byte{}, orig...)
 		mut[i] ^= 0x40
-		got, err := ReadLog(bytes.NewReader(mut))
-		if err == nil && !logsEqual(l, got) {
+		got, err := decode(mut)
+		if err == nil && !sameRecords(want, got) {
 			t.Fatalf("byte %d flip silently accepted as a different log", i)
 		}
 	}
 
 	// Truncations at every length must error.
 	for n := 0; n < len(orig); n++ {
-		if _, err := ReadLog(bytes.NewReader(orig[:n])); err == nil {
+		if _, err := decode(orig[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes must be rejected", n)
 		}
 	}
 
 	// Trailing garbage after the end marker must error.
-	if _, err := ReadLog(bytes.NewReader(append(append([]byte{}, orig...), 0))); err == nil {
+	if _, err := decode(append(append([]byte{}, orig...), 0)); err == nil {
 		t.Fatalf("trailing garbage after end marker must be rejected")
 	}
 }

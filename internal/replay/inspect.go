@@ -42,7 +42,7 @@ type LogInfo struct {
 // Stat reads a chunked log from r and returns its breakdown. Every chunk
 // is CRC-verified and decompressed, and every record decoded, so a nil
 // error also certifies the stream is well-formed end to end: Stat accepts
-// exactly the streams ReadLog accepts, with the same errors.
+// exactly the streams a LogCursor reads to its end, with the same errors.
 func Stat(r io.Reader) (*LogInfo, error) {
 	c := NewLogCursor(r)
 	info := &LogInfo{
@@ -64,11 +64,11 @@ func Stat(r io.Reader) (*LogInfo, error) {
 		if h.kind == chunkOrder {
 			ci.Kind = "order"
 		}
-		for c.words.r.Len() > 0 {
-			rec, err := c.decodeRecord()
-			if err != nil {
+		for len(c.words.b) > 0 {
+			if err := c.decodeRecord(); err != nil {
 				return nil, err
 			}
+			rec := &c.rec
 			ci.Records++
 			if rec.IsInput {
 				st.InputRecords++

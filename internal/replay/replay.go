@@ -13,9 +13,10 @@
 package replay
 
 import (
+	"bytes"
 	"fmt"
 	"io"
-	"sort"
+	"math"
 
 	"repro/internal/minic/types"
 	"repro/internal/vm"
@@ -48,106 +49,82 @@ type OrderRec struct {
 	Anchor vm.ForcedAnchor
 }
 
-// Log is a complete recording.
+// Log is a complete recording: the CHIMLOG2 stream its recorder wrote,
+// and that writer's record counts. Replay decodes the bytes
+// (NewStreamReplayer); the counts answer record-count metrics without a
+// decode.
 type Log struct {
-	// Inputs holds each thread's input-operation results in program
-	// order (a thread's input sequence is deterministic given the sync
-	// order, so per-thread FIFOs suffice).
-	Inputs map[int][]InputRec
-
-	// Orders holds the committed operation order per sync object.
-	Orders map[vm.SyncKey][]OrderRec
+	data   []byte
+	inputs int64
+	counts orderCounts
 }
 
-// NewLog returns an empty log.
-func NewLog() *Log {
-	return &Log{
-		Inputs: make(map[int][]InputRec),
-		Orders: make(map[vm.SyncKey][]OrderRec),
-	}
-}
+// Bytes returns the recording's CHIMLOG2 stream. Callers must not modify
+// it.
+func (l *Log) Bytes() []byte { return l.data }
 
 // InputCount returns the total number of logged input records.
-func (l *Log) InputCount() int {
-	n := 0
-	for _, recs := range l.Inputs {
-		n += len(recs)
-	}
-	return n
-}
+func (l *Log) InputCount() int { return int(l.inputs) }
 
 // OrderCount returns the total number of order records, optionally
 // filtered by sync class.
 func (l *Log) OrderCount(classes ...vm.SyncClass) int {
-	n := 0
-	for k, recs := range l.Orders {
-		if len(classes) == 0 {
-			n += len(recs)
-			continue
-		}
-		for _, c := range classes {
-			if k.Class == c {
-				n += len(recs)
-			}
+	n := int64(0)
+	if len(classes) == 0 {
+		for _, c := range l.counts.byClass {
+			n += c
 		}
 	}
-	return n
+	for _, c := range classes {
+		n += l.counts.byClass[c]
+	}
+	return int(n)
 }
 
-// sortedInputTids returns thread ids with input records, ascending.
-func (l *Log) sortedInputTids() []int {
-	var tids []int
-	for tid := range l.Inputs {
-		tids = append(tids, tid)
-	}
-	sort.Ints(tids)
-	return tids
-}
-
-// sortedOrderKeys returns the sync keys, deterministically ordered.
-func (l *Log) sortedOrderKeys() []vm.SyncKey {
-	keys := make([]vm.SyncKey, 0, len(l.Orders))
-	for k := range l.Orders {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Class != keys[j].Class {
-			return keys[i].Class < keys[j].Class
-		}
-		return keys[i].ID < keys[j].ID
-	})
-	return keys
-}
+// KindCount returns the number of order records of one event kind.
+func (l *Log) KindCount(kind vm.SyncEventKind) int { return int(l.counts.byKind[kind]) }
 
 // ---------------------------------------------------------------------------
 // Recorder
 
 // Recorder implements vm.InputProvider and vm.SyncMonitor for a recording
 // run: inputs come from the live simulated OS and are logged; sync commits
-// are appended to the order log. Costs model the logging overhead.
+// are appended to the order log. Every record goes through one LogWriter,
+// whose bytes are kept as the recording (Close) and teed to the caller's
+// writer as they are flushed. Costs model the logging overhead.
 type Recorder struct {
-	log  *Log
 	live vm.LiveInputs
 	cost vm.CostModel
-	lw   *LogWriter // optional streaming tee (AttachWriter)
+	buf  bytes.Buffer
+	lw   *LogWriter
 }
 
-// AttachWriter tees every logged record into lw as it is committed, so a
-// recording streams to disk while the run is still executing. The caller
-// owns lw and must Close it after the run. Attaching adds no simulated
-// cost — the CostModel already charges for logging.
-func (r *Recorder) AttachWriter(lw *LogWriter) { r.lw = lw }
-
-// NewRecorder returns a recorder over the given OS.
-func NewRecorder(os vm.OS, cost vm.CostModel) *Recorder {
+// NewRecorder returns a recorder over the given OS. Its log also streams
+// to w, when w is non-nil, while the run is still executing. Streaming
+// adds no simulated cost — the CostModel already charges for logging.
+func NewRecorder(os vm.OS, cost vm.CostModel, w io.Writer) *Recorder {
 	if cost == (vm.CostModel{}) {
 		cost = vm.DefaultCost()
 	}
-	return &Recorder{log: NewLog(), live: vm.LiveInputs{OS: os}, cost: cost}
+	r := &Recorder{live: vm.LiveInputs{OS: os}, cost: cost}
+	var out io.Writer = &r.buf
+	if w != nil {
+		out = io.MultiWriter(&r.buf, w)
+	}
+	r.lw = NewLogWriter(out)
+	return r
 }
 
-// Log returns the recording.
-func (r *Recorder) Log() *Log { return r.log }
+// Writer returns the recorder's LogWriter; its Stats are the ledger of
+// the recording.
+func (r *Recorder) Writer() *LogWriter { return r.lw }
+
+// Close ends the recording: it closes the LogWriter and returns the bytes
+// it wrote with its record counts, and the first write error.
+func (r *Recorder) Close() (*Log, error) {
+	err := r.lw.Close()
+	return &Log{data: r.buf.Bytes(), inputs: r.lw.stats.InputRecords, counts: r.lw.counts}, err
+}
 
 // Input implements vm.InputProvider.
 func (r *Recorder) Input(tid int, op types.BuiltinOp, args []int64, sendData []int64, now int64) (int64, []int64, int64, int64, error) {
@@ -155,14 +132,7 @@ func (r *Recorder) Input(tid int, op types.BuiltinOp, args []int64, sendData []i
 	if err != nil {
 		return 0, nil, now, 0, err
 	}
-	rec := InputRec{Op: op, Val: val}
-	if len(data) > 0 {
-		rec.Data = append([]int64{}, data...)
-	}
-	r.log.Inputs[tid] = append(r.log.Inputs[tid], rec)
-	if r.lw != nil {
-		r.lw.Input(tid, rec)
-	}
+	r.lw.Input(tid, InputRec{Op: op, Val: val, Data: data})
 	cost := r.cost.LogEvent + r.cost.LogWord*int64(len(data))
 	return val, data, ready, cost, nil
 }
@@ -172,11 +142,7 @@ func (r *Recorder) TryProceed(key vm.SyncKey, kind vm.SyncEventKind, tid int) bo
 
 // Commit implements vm.SyncMonitor: append to the order log.
 func (r *Recorder) Commit(key vm.SyncKey, kind vm.SyncEventKind, tid int, now int64) int64 {
-	rec := OrderRec{Tid: int32(tid), Kind: kind}
-	r.log.Orders[key] = append(r.log.Orders[key], rec)
-	if r.lw != nil {
-		r.lw.Order(key, rec)
-	}
+	r.lw.Order(key, OrderRec{Tid: int32(tid), Kind: kind})
 	return r.cost.LogEvent
 }
 
@@ -184,11 +150,7 @@ func (r *Recorder) Commit(key vm.SyncKey, kind vm.SyncEventKind, tid int, now in
 // together with its deterministic anchor (paper §2.3's planned DoublePlay
 // mechanism, here fully implemented).
 func (r *Recorder) CommitForced(key vm.SyncKey, tid int, anchor vm.ForcedAnchor, now int64) int64 {
-	rec := OrderRec{Tid: int32(tid), Kind: vm.EvWLForcedRelease, Anchor: anchor}
-	r.log.Orders[key] = append(r.log.Orders[key], rec)
-	if r.lw != nil {
-		r.lw.Order(key, rec)
-	}
+	r.lw.Order(key, OrderRec{Tid: int32(tid), Kind: vm.EvWLForcedRelease, Anchor: anchor})
 	return r.cost.LogEvent
 }
 
@@ -205,26 +167,26 @@ func (r *Recorder) NextForced(tid int) (vm.SyncKey, vm.ForcedAnchor, bool) {
 // applications "replay much faster as we feed the recorded input directly"),
 // and sync operations are gated to their recorded order.
 //
-// It consumes per-thread input queues and per-key order queues.
-// NewReplayer fills them straight from an in-memory Log; NewStreamReplayer
-// pulls them lazily from a chunked log stream, so memory is bounded by how
-// far the replayed schedule runs ahead of the stream order, not by the
-// recording's length.
+// It consumes per-thread input queues and per-key order queues, which it
+// fills lazily from a chunked log stream through two cursors, one over the
+// input chunks and one over the order chunks. A queue is topped up only
+// from its own cursor, so memory is bounded by how far the replayed
+// schedule runs ahead of the stream's commit order, not by the recording's
+// length, nor by how the writer interleaved the two kinds of chunk.
 type Replayer struct {
-	cur  *LogCursor // nil when replaying an in-memory Log
-	cost vm.CostModel
+	in, ord *LogCursor
+	cost    vm.CostModel
 	// Queues are held by pointer so each hot method looks its queue up
-	// once and consumes a record by reslicing, with no map write.
-	inputQ map[int]*[]InputRec
-	orderQ map[vm.SyncKey]*[]OrderRec
+	// once and consumes a record with no map write.
+	inputQ map[int]*queue[InputRec]
+	orderQ map[vm.SyncKey]*queue[OrderRec]
 	// wlQ holds the order queues of weak-lock keys with IDs below
 	// wlQueueSlots, by ID, so the per-acquire gate does no hashing; every
 	// other key, and any larger ID a log names, is in orderQ.
-	wlQ [wlQueueSlots][]OrderRec
+	wlQ [wlQueueSlots]queue[OrderRec]
 
 	// forced holds each thread's scheduled preemptions in order.
 	forced map[int][]forcedRec
-	eof    bool
 	err    error
 }
 
@@ -238,130 +200,116 @@ type forcedRec struct {
 	anchor vm.ForcedAnchor
 }
 
-func newReplayer(cost vm.CostModel) *Replayer {
+// queue is a FIFO of decoded records, consumed from head. A push that
+// finds the buffer full first moves the waiting records to its front, so
+// the buffer grows only with the records waiting at once.
+type queue[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *queue[T]) push(v T) {
+	if q.head > 0 && len(q.buf) == cap(q.buf) {
+		n := copy(q.buf, q.buf[q.head:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+// front returns the oldest waiting record; the queue must not be empty.
+func (q *queue[T]) front() *T { return &q.buf[q.head] }
+
+func (q *queue[T]) pop()     { q.head++ }
+func (q *queue[T]) len() int { return len(q.buf) - q.head }
+
+// NewStreamReplayer returns a replayer over a CHIMLOG2 stream, such as a
+// Log's Bytes or an on-disk spool. Construction prescans the whole stream
+// once, verifying every chunk, for forced weak-lock preemptions — the VM
+// needs each thread's next preemption anchor up front (NextForced), which
+// no finite lookahead bounds. A thread's anchors never decrease in commit
+// order, so the prescan schedules them in the order it reads them. Replay
+// then decodes incrementally, verifying each chunk's CRC before trusting
+// its records.
+func NewStreamReplayer(ra io.ReaderAt, cost vm.CostModel) (*Replayer, error) {
 	if cost == (vm.CostModel{}) {
 		cost = vm.DefaultCost()
 	}
-	return &Replayer{
+	r := &Replayer{
 		cost:   cost,
-		inputQ: make(map[int]*[]InputRec),
-		orderQ: make(map[vm.SyncKey]*[]OrderRec),
+		inputQ: make(map[int]*queue[InputRec]),
+		orderQ: make(map[vm.SyncKey]*queue[OrderRec]),
 		forced: make(map[int][]forcedRec),
 	}
-}
-
-// NewReplayer returns a replayer over an in-memory recording. Its queues
-// share the log's slices and never write to them, so one Log can back any
-// number of concurrent replays.
-func NewReplayer(log *Log, cost vm.CostModel) *Replayer {
-	r := newReplayer(cost)
-	r.eof = true
-	for tid, recs := range log.Inputs {
-		q := recs
-		r.inputQ[tid] = &q
-	}
-	for _, key := range log.sortedOrderKeys() {
-		recs := log.Orders[key]
-		if q := r.orderQueue(key); q != nil {
-			*q = recs
-		} else {
-			r.orderQ[key] = &recs
-		}
-		for _, rec := range recs {
-			r.schedule(key, rec)
-		}
-	}
-	r.sortForced()
-	return r
-}
-
-// NewStreamReplayer returns a replayer over a chunked log stream.
-// Construction prescans the stream once for forced weak-lock preemptions —
-// the VM needs each thread's next preemption anchor up front (NextForced),
-// which no finite lookahead bounds — then seeks back and decodes
-// incrementally, verifying each chunk's CRC before trusting its records.
-func NewStreamReplayer(rs io.ReadSeeker, cost vm.CostModel) (*Replayer, error) {
-	r := newReplayer(cost)
-	pre := NewLogCursor(rs)
+	pre := NewLogCursor(stream(ra))
 	for {
-		rec, err := pre.Next()
+		err := pre.advance()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
 			return nil, err
 		}
-		if !rec.IsInput {
-			r.schedule(rec.Key, rec.Order)
+		if rec := &pre.rec; !rec.IsInput && rec.Order.Kind == vm.EvWLForcedRelease {
+			tid := int(rec.Order.Tid)
+			r.forced[tid] = append(r.forced[tid], forcedRec{key: rec.Key, anchor: rec.Order.Anchor})
 		}
 	}
-	r.sortForced()
-	if _, err := rs.Seek(0, io.SeekStart); err != nil {
-		return nil, fmt.Errorf("replay: rewind after forced-preemption prescan: %w", err)
-	}
-	r.cur = NewLogCursor(rs)
+	r.in = &LogCursor{r: stream(ra), only: chunkInput}
+	r.ord = &LogCursor{r: stream(ra), only: chunkOrder}
 	return r, nil
 }
 
-// schedule adds rec to its thread's preemption schedule if it is a forced
-// weak-lock release.
-func (r *Replayer) schedule(key vm.SyncKey, rec OrderRec) {
-	if rec.Kind == vm.EvWLForcedRelease {
-		r.forced[int(rec.Tid)] = append(r.forced[int(rec.Tid)], forcedRec{key: key, anchor: rec.Anchor})
+// stream returns a reader over ra from its start, with its own offset.
+func stream(ra io.ReaderAt) io.Reader { return io.NewSectionReader(ra, 0, math.MaxInt64) }
+
+// advance decodes c's next record into c.rec; false at the end of c's
+// stream, and on a corrupt stream, whose error it records.
+func (r *Replayer) advance(c *LogCursor) bool {
+	if r.err != nil {
+		return false
 	}
+	if err := c.advance(); err != nil {
+		if err != io.EOF {
+			r.err = err
+		}
+		return false
+	}
+	return true
 }
 
-// sortForced puts each thread's schedule in anchor order: a thread
-// executes its preemptions one at a time, so within a thread the anchors
-// give the true order.
-func (r *Replayer) sortForced() {
-	for _, recs := range r.forced {
-		sort.Slice(recs, func(i, j int) bool {
-			if recs[i].anchor.Instr != recs[j].anchor.Instr {
-				return recs[i].anchor.Instr < recs[j].anchor.Instr
-			}
-			return recs[i].anchor.Sync < recs[j].anchor.Sync
-		})
+// pullInput decodes one more input record into its thread's queue.
+func (r *Replayer) pullInput() bool {
+	if !r.advance(r.in) {
+		return false
 	}
+	rec := &r.in.rec
+	q := r.inputQ[rec.Tid]
+	if q == nil {
+		q = new(queue[InputRec])
+		r.inputQ[rec.Tid] = q
+	}
+	q.push(rec.Input)
+	return true
 }
 
-// pull decodes one more stream record into its queue; false at the end of
-// the stream, on a corrupt stream (recorded in err), and always for an
-// in-memory Log.
-func (r *Replayer) pull() bool {
-	if r.eof || r.err != nil {
+// pullOrder decodes one more order record into its key's queue.
+func (r *Replayer) pullOrder() bool {
+	if !r.advance(r.ord) {
 		return false
 	}
-	rec, err := r.cur.Next()
-	if err == io.EOF {
-		r.eof = true
-		return false
+	rec := &r.ord.rec
+	q := r.orderQueue(rec.Key)
+	if q == nil {
+		q = new(queue[OrderRec])
+		r.orderQ[rec.Key] = q
 	}
-	if err != nil {
-		r.err = err
-		return false
-	}
-	if rec.IsInput {
-		q := r.inputQ[rec.Tid]
-		if q == nil {
-			q = new([]InputRec)
-			r.inputQ[rec.Tid] = q
-		}
-		*q = append(*q, rec.Input)
-	} else {
-		q := r.orderQueue(rec.Key)
-		if q == nil {
-			q = new([]OrderRec)
-			r.orderQ[rec.Key] = q
-		}
-		*q = append(*q, rec.Order)
-	}
+	q.push(rec.Order)
 	return true
 }
 
 // orderQueue returns key's order queue: its wlQ slot for a weak-lock key
 // with an ID below wlQueueSlots, else its orderQ entry (nil if none yet).
-func (r *Replayer) orderQueue(key vm.SyncKey) *[]OrderRec {
+func (r *Replayer) orderQueue(key vm.SyncKey) *queue[OrderRec] {
 	if key.Class == vm.SyncWeakLock && key.ID >= 0 && key.ID < wlQueueSlots {
 		return &r.wlQ[key.ID]
 	}
@@ -370,10 +318,10 @@ func (r *Replayer) orderQueue(key vm.SyncKey) *[]OrderRec {
 
 // inputs returns tid's input queue holding at least one record, or nil
 // when the log has no more input for tid.
-func (r *Replayer) inputs(tid int) *[]InputRec {
+func (r *Replayer) inputs(tid int) *queue[InputRec] {
 	q := r.inputQ[tid]
-	for q == nil || len(*q) == 0 {
-		if !r.pull() {
+	for q == nil || q.len() == 0 {
+		if !r.pullInput() {
 			return nil
 		}
 		q = r.inputQ[tid]
@@ -383,10 +331,10 @@ func (r *Replayer) inputs(tid int) *[]InputRec {
 
 // orders returns key's order queue holding at least one record, or nil
 // when the log has no more records on key.
-func (r *Replayer) orders(key vm.SyncKey) *[]OrderRec {
+func (r *Replayer) orders(key vm.SyncKey) *queue[OrderRec] {
 	q := r.orderQueue(key)
-	for q == nil || len(*q) == 0 {
-		if !r.pull() {
+	for q == nil || q.len() == 0 {
+		if !r.pullOrder() {
 			return nil
 		}
 		q = r.orderQueue(key)
@@ -411,7 +359,7 @@ func (r *Replayer) Input(tid int, op types.BuiltinOp, args []int64, sendData []i
 	if q == nil {
 		return 0, nil, now, 0, r.diverge("thread %d performed more input ops than recorded (%s)", tid, types.BuiltinName(op))
 	}
-	rec := (*q)[0]
+	rec := *q.front()
 	if rec.Op != op {
 		return 0, nil, now, 0, r.diverge("thread %d input op mismatch: got %s, recorded %s",
 			tid, types.BuiltinName(op), types.BuiltinName(rec.Op))
@@ -422,7 +370,7 @@ func (r *Replayer) Input(tid int, op types.BuiltinOp, args []int64, sendData []i
 		return 0, nil, now, 0, r.diverge("thread %d %s record carries %d words for a %d-word request",
 			tid, types.BuiltinName(op), len(rec.Data), args[2])
 	}
-	*q = (*q)[1:]
+	q.pop()
 	// No device wait: results come straight from the log.
 	return rec.Val, rec.Data, now, r.cost.ReplayGate, nil
 }
@@ -437,20 +385,20 @@ func (r *Replayer) TryProceed(key vm.SyncKey, kind vm.SyncEventKind, tid int) bo
 		r.diverge("extra %s op on %s by thread %d", kind, key, tid)
 		return false
 	}
-	return (*q)[0].Tid == int32(tid)
+	return q.front().Tid == int32(tid)
 }
 
 // Commit implements vm.SyncMonitor: consume the head record on the key.
 func (r *Replayer) Commit(key vm.SyncKey, kind vm.SyncEventKind, tid int, now int64) int64 {
 	q := r.orders(key)
-	if q == nil || (*q)[0].Tid != int32(tid) {
+	if q == nil || q.front().Tid != int32(tid) {
 		r.diverge("commit out of order on %s by thread %d", key, tid)
 		return r.cost.ReplayGate
 	}
-	if got := (*q)[0].Kind; got != kind {
+	if got := q.front().Kind; got != kind {
 		r.diverge("op kind mismatch on %s: got %s, recorded %s", key, kind, got)
 	}
-	*q = (*q)[1:]
+	q.pop()
 	return r.cost.ReplayGate
 }
 
@@ -458,11 +406,11 @@ func (r *Replayer) Commit(key vm.SyncKey, kind vm.SyncEventKind, tid int, now in
 // record on the key and the thread's schedule.
 func (r *Replayer) CommitForced(key vm.SyncKey, tid int, anchor vm.ForcedAnchor, now int64) int64 {
 	q := r.orders(key)
-	if q == nil || (*q)[0].Kind != vm.EvWLForcedRelease || (*q)[0].Tid != int32(tid) {
+	if q == nil || q.front().Kind != vm.EvWLForcedRelease || q.front().Tid != int32(tid) {
 		r.diverge("forced preemption on %s by thread %d not next in the log", key, tid)
 		return r.cost.ReplayGate
 	}
-	*q = (*q)[1:]
+	q.pop()
 	if f := r.forced[tid]; len(f) > 0 {
 		r.forced[tid] = f[1:]
 	}
@@ -479,26 +427,28 @@ func (r *Replayer) NextForced(tid int) (vm.SyncKey, vm.ForcedAnchor, bool) {
 }
 
 // Drained reports whether every input and order record was consumed (a
-// fully faithful replay consumes everything). A stream is read to its end
-// first, so a corrupt tail is never drained.
+// fully faithful replay consumes everything). The stream is read to its
+// end first, so a corrupt tail is never drained.
 func (r *Replayer) Drained() bool {
-	for r.pull() {
+	for r.pullInput() {
 	}
-	if !r.eof {
+	for r.pullOrder() {
+	}
+	if !r.in.done || !r.ord.done {
 		return false
 	}
 	for _, q := range r.inputQ {
-		if len(*q) != 0 {
+		if q.len() != 0 {
 			return false
 		}
 	}
 	for _, q := range r.orderQ {
-		if len(*q) != 0 {
+		if q.len() != 0 {
 			return false
 		}
 	}
-	for _, q := range r.wlQ {
-		if len(q) != 0 {
+	for i := range r.wlQ {
+		if r.wlQ[i].len() != 0 {
 			return false
 		}
 	}

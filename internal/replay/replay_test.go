@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/minic/types"
@@ -8,10 +9,20 @@ import (
 	"repro/internal/vm"
 )
 
+// replayerOver returns a replayer over recs encoded as one stream.
+func replayerOver(t *testing.T, recs []StreamRecord) *Replayer {
+	t.Helper()
+	rep, err := NewStreamReplayer(bytes.NewReader(encode(recs)), vm.DefaultCost())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
+}
+
 func TestRecorderLogsInputs(t *testing.T) {
 	w := oskit.NewWorld(1)
 	w.AddFile(5, []int64{10, 20, 30})
-	rec := NewRecorder(w, vm.DefaultCost())
+	rec := NewRecorder(w, vm.DefaultCost(), nil)
 
 	fd, _, _, cost, err := rec.Input(0, types.BOpen, []int64{5}, nil, 0)
 	if err != nil || fd < 0 {
@@ -24,37 +35,52 @@ func TestRecorderLogsInputs(t *testing.T) {
 	if err != nil || n != 3 || len(data) != 3 {
 		t.Fatalf("read: %v n=%d data=%v", err, n, data)
 	}
-	log := rec.Log()
+	log, err := rec.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if log.InputCount() != 2 {
 		t.Errorf("input count = %d, want 2", log.InputCount())
 	}
-	if got := log.Inputs[0][1]; got.Op != types.BRead || got.Val != 3 || got.Data[2] != 30 {
+	recs, err := decode(log.Bytes())
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("decode: %v, %d records", err, len(recs))
+	}
+	if got := recs[1].Input; got.Op != types.BRead || got.Val != 3 || got.Data[2] != 30 {
 		t.Errorf("read record wrong: %+v", got)
 	}
 }
 
 func TestRecorderLogsOrder(t *testing.T) {
-	rec := NewRecorder(oskit.NewWorld(1), vm.DefaultCost())
+	rec := NewRecorder(oskit.NewWorld(1), vm.DefaultCost(), nil)
 	key := vm.SyncKey{Class: vm.SyncMutex, ID: 42}
 	if !rec.TryProceed(key, vm.EvAcquire, 1) {
 		t.Fatal("recording must never gate")
 	}
 	rec.Commit(key, vm.EvAcquire, 1, 10)
 	rec.Commit(key, vm.EvAcquire, 2, 20)
-	log := rec.Log()
+	log, err := rec.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if log.OrderCount() != 2 {
 		t.Fatalf("order count = %d", log.OrderCount())
 	}
-	if log.Orders[key][0].Tid != 1 || log.Orders[key][1].Tid != 2 {
-		t.Errorf("order wrong: %+v", log.Orders[key])
+	recs, err := decode(log.Bytes())
+	if err != nil || len(recs) != 2 {
+		t.Fatalf("decode: %v, %d records", err, len(recs))
+	}
+	if recs[0].Key != key || recs[0].Order.Tid != 1 || recs[1].Order.Tid != 2 {
+		t.Errorf("order wrong: %+v", recs)
 	}
 }
 
 func TestReplayerEnforcesOrder(t *testing.T) {
-	log := NewLog()
 	key := vm.SyncKey{Class: vm.SyncMutex, ID: 7}
-	log.Orders[key] = []OrderRec{{Tid: 2, Kind: vm.EvAcquire}, {Tid: 1, Kind: vm.EvAcquire}}
-	rep := NewReplayer(log, vm.DefaultCost())
+	rep := replayerOver(t, []StreamRecord{
+		{Key: key, Order: OrderRec{Tid: 2, Kind: vm.EvAcquire}},
+		{Key: key, Order: OrderRec{Tid: 1, Kind: vm.EvAcquire}},
+	})
 
 	if rep.TryProceed(key, vm.EvAcquire, 1) {
 		t.Errorf("thread 1 must wait (thread 2 recorded first)")
@@ -76,14 +102,12 @@ func TestReplayerEnforcesOrder(t *testing.T) {
 }
 
 func TestReplayerDetectsInputDivergence(t *testing.T) {
-	log := NewLog()
-	log.Inputs[0] = []InputRec{{Op: types.BRead, Val: 4}}
-	rep := NewReplayer(log, vm.DefaultCost())
+	rep := replayerOver(t, []StreamRecord{{IsInput: true, Input: InputRec{Op: types.BRead, Val: 4}}})
 	_, _, _, _, err := rep.Input(0, types.BRecv, []int64{1, 2, 3}, nil, 0)
 	if err == nil {
 		t.Fatalf("op mismatch must diverge")
 	}
-	rep2 := NewReplayer(NewLog(), vm.DefaultCost())
+	rep2 := replayerOver(t, nil)
 	_, _, _, _, err = rep2.Input(0, types.BRead, []int64{1, 2, 3}, nil, 0)
 	if err == nil {
 		t.Fatalf("extra input must diverge")
@@ -91,7 +115,7 @@ func TestReplayerDetectsInputDivergence(t *testing.T) {
 }
 
 func TestReplayerDetectsExtraSyncOps(t *testing.T) {
-	rep := NewReplayer(NewLog(), vm.DefaultCost())
+	rep := replayerOver(t, nil)
 	key := vm.SyncKey{Class: vm.SyncMutex, ID: 9}
 	if rep.TryProceed(key, vm.EvAcquire, 0) {
 		t.Errorf("extra op must not proceed")
@@ -101,17 +125,27 @@ func TestReplayerDetectsExtraSyncOps(t *testing.T) {
 	}
 }
 
+// The recording's counts are the writer's, by sync class and by kind.
 func TestOrderCountByClass(t *testing.T) {
-	log := NewLog()
-	log.Orders[vm.SyncKey{Class: vm.SyncMutex, ID: 1}] = []OrderRec{{}, {}}
-	log.Orders[vm.SyncKey{Class: vm.SyncWeakLock, ID: 2}] = []OrderRec{{}}
+	rec := NewRecorder(oskit.NewWorld(1), vm.DefaultCost(), nil)
+	mu := vm.SyncKey{Class: vm.SyncMutex, ID: 1}
+	rec.Commit(mu, vm.EvAcquire, 0, 0)
+	rec.Commit(mu, vm.EvRelease, 0, 0)
+	rec.Commit(vm.SyncKey{Class: vm.SyncWeakLock, ID: 2}, vm.EvWLAcquire, 1, 0)
+	log, err := rec.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if log.OrderCount(vm.SyncMutex) != 2 {
 		t.Errorf("mutex count wrong")
 	}
 	if log.OrderCount(vm.SyncWeakLock) != 1 {
 		t.Errorf("weaklock count wrong")
 	}
-	if log.OrderCount() != 3 {
+	if log.OrderCount(vm.SyncMutex, vm.SyncWeakLock) != 3 || log.OrderCount() != 3 {
 		t.Errorf("total count wrong")
+	}
+	if log.KindCount(vm.EvWLAcquire) != 1 || log.KindCount(vm.EvAcquire) != 1 || log.KindCount(vm.EvWLForcedRelease) != 0 {
+		t.Errorf("kind counts wrong")
 	}
 }

@@ -24,12 +24,16 @@ func sinkSet() []vm.EventSink {
 // log under seed 999, attaching sinks() to both runs.
 func recordReplay(t *testing.T, p *vm.Program, tbl *weaklock.Table, world *oskit.World, timeout int64, sinks func() []vm.EventSink) (rec, rep *vm.Result) {
 	t.Helper()
-	r := replay.NewRecorder(world, vm.DefaultCost())
+	r := replay.NewRecorder(world, vm.DefaultCost(), nil)
 	rec = vm.Run(p, vm.Config{Inputs: r, Monitor: r, WL: tbl, Seed: 3, WLTimeout: timeout, Sinks: sinks()})
 	if rec.Err != nil {
 		t.Fatalf("record: %v", rec.Err)
 	}
-	pl := replay.NewReplayer(r.Log(), vm.DefaultCost())
+	log, err := r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := openStream(t, log.Bytes())
 	rep = vm.Run(p, vm.Config{Inputs: pl, Monitor: pl, WL: tbl, Seed: 999, DisableTimeouts: true, Sinks: sinks()})
 	if rep.Err != nil || pl.Err() != nil || !pl.Drained() {
 		t.Fatalf("replay: %v / %v (drained %v)", rep.Err, pl.Err(), pl.Drained())

@@ -3,7 +3,6 @@ package replay_test
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"math"
 	"testing"
 
@@ -31,33 +30,24 @@ func recordForced(tb testing.TB) *forcedRecording {
 	}
 	tbl := weaklock.NewTable()
 	tbl.Add(weaklock.KindInstr, "t", false)
-	rec := replay.NewRecorder(oskit.NewWorld(1), vm.DefaultCost())
-	var stream bytes.Buffer
-	lw := replay.NewLogWriter(&stream)
-	rec.AttachWriter(lw)
+	rec := replay.NewRecorder(oskit.NewWorld(1), vm.DefaultCost(), nil)
 	r := vm.Run(prog.Code, vm.Config{Inputs: rec, Monitor: rec, WL: tbl, Seed: 3, WLTimeout: 50_000})
 	if r.Err != nil || r.WLStats.Timeouts == 0 {
 		tb.Fatalf("record: err %v, %d timeouts; want a forced preemption", r.Err, r.WLStats.Timeouts)
 	}
-	if err := lw.Close(); err != nil {
+	log, err := rec.Close()
+	if err != nil {
 		tb.Fatal(err)
 	}
 	fr := &forcedRecording{prog: prog, table: tbl}
-	cur := replay.NewLogCursor(&stream)
-	for {
-		sr, err := cur.Next()
-		if err == io.EOF {
-			return fr
-		}
-		if err != nil {
-			tb.Fatal(err)
-		}
+	for _, sr := range records(tb, log.Bytes()) {
 		if sr.IsInput {
 			fr.inputs = append(fr.inputs, sr)
 		} else {
 			fr.orders = append(fr.orders, sr)
 		}
 	}
+	return fr
 }
 
 // An edit rewrites one field of one order record: editLen bytes holding
@@ -106,16 +96,7 @@ func (fr *forcedRecording) rewrite(data []byte) []byte {
 			r.Order.Anchor.Sync, r.Order.Anchor.Blocked = v>>1, v&1 == 1
 		}
 	}
-	var out bytes.Buffer
-	lw := replay.NewLogWriter(&out)
-	for _, sr := range fr.inputs {
-		lw.Input(sr.Tid, sr.Input)
-	}
-	for _, sr := range orders {
-		lw.Order(sr.Key, sr.Order)
-	}
-	lw.Close()
-	return out.Bytes()
+	return encode(append(append([]replay.StreamRecord(nil), fr.inputs...), orders...))
 }
 
 // replayStream replays a stream through NewStreamReplayer and core.Replay

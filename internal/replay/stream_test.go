@@ -4,22 +4,22 @@ import (
 	"bytes"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/core"
 	"repro/internal/oskit"
 	"repro/internal/replay"
 	"repro/internal/vm"
 )
 
-// TestStreamRecordAndReplay runs the forced-preemption scenario with a
-// LogWriter attached to the recorder, then replays bit-identically straight
-// from the byte stream with NewStreamReplayer — the full streaming path,
-// including the forced-preemption prescan.
+// TestStreamRecordAndReplay runs the forced-preemption scenario with the
+// recorder streaming to a writer, then replays bit-identically straight
+// from the streamed bytes — the full streaming path, including the
+// forced-preemption prescan.
 func TestStreamRecordAndReplay(t *testing.T) {
 	p, tbl := forcedSetup(t)
 
 	var stream bytes.Buffer
-	rec := replay.NewRecorder(oskit.NewWorld(1), vm.DefaultCost())
-	lw := replay.NewLogWriter(&stream)
-	rec.AttachWriter(lw)
+	rec := replay.NewRecorder(oskit.NewWorld(1), vm.DefaultCost(), &stream)
 	recRes := vm.Run(p, vm.Config{
 		Inputs: rec, Monitor: rec, WL: tbl,
 		Seed: 3, WLTimeout: 50_000,
@@ -30,9 +30,11 @@ func TestStreamRecordAndReplay(t *testing.T) {
 	if recRes.WLStats.Timeouts == 0 {
 		t.Fatalf("scenario should force a preemption during recording")
 	}
-	if err := lw.Close(); err != nil {
+	log, err := rec.Close()
+	if err != nil {
 		t.Fatalf("close stream: %v", err)
 	}
+	lw := rec.Writer()
 
 	// Compressed byte attribution: the order stream carried records (this
 	// scenario performs no input ops), and all stream bytes are
@@ -45,16 +47,17 @@ func TestStreamRecordAndReplay(t *testing.T) {
 			lw.InputBytesWritten()+lw.OrderBytesWritten(), want)
 	}
 
-	// The streamed bytes decode to the recorder's in-memory log.
-	decoded, err := replay.ReadLog(bytes.NewReader(stream.Bytes()))
+	// The streamed bytes are the recording, and decode to its counts.
+	if !bytes.Equal(stream.Bytes(), log.Bytes()) {
+		t.Fatalf("streamed %d bytes, the recording holds %d different ones", stream.Len(), len(log.Bytes()))
+	}
+	info, err := replay.Stat(bytes.NewReader(stream.Bytes()))
 	if err != nil {
 		t.Fatalf("decode streamed log: %v", err)
 	}
-	if decoded.InputCount() != rec.Log().InputCount() ||
-		decoded.OrderCount() != rec.Log().OrderCount() {
+	if info.Streams.InputRecords != int64(log.InputCount()) || info.Streams.OrderRecords != int64(log.OrderCount()) {
 		t.Fatalf("streamed log mismatch: inputs %d/%d orders %d/%d",
-			decoded.InputCount(), rec.Log().InputCount(),
-			decoded.OrderCount(), rec.Log().OrderCount())
+			info.Streams.InputRecords, log.InputCount(), info.Streams.OrderRecords, log.OrderCount())
 	}
 
 	for _, repSeed := range []uint64{999, 7} {
@@ -90,14 +93,9 @@ func TestStreamRecordAndReplay(t *testing.T) {
 // run to a program expecting different input and checks the divergence is
 // reported, not silently absorbed.
 func TestStreamReplayerDetectsDivergence(t *testing.T) {
-	l := replay.NewLog()
 	key := vm.SyncKey{Class: vm.SyncMutex, ID: 7}
-	l.Orders[key] = []replay.OrderRec{{Tid: 2, Kind: vm.EvAcquire}}
-	var buf bytes.Buffer
-	if _, err := l.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := replay.NewStreamReplayer(bytes.NewReader(buf.Bytes()), vm.DefaultCost())
+	data := encode([]replay.StreamRecord{{Key: key, Order: replay.OrderRec{Tid: 2, Kind: vm.EvAcquire}}})
+	sr, err := replay.NewStreamReplayer(bytes.NewReader(data), vm.DefaultCost())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,5 +112,51 @@ func TestStreamReplayerDetectsDivergence(t *testing.T) {
 	}
 	if sr.Err() == nil {
 		t.Fatalf("extra op must be reported as divergence")
+	}
+}
+
+// queueWatch is a replayer that notes, at every commit, how many decoded
+// records wait in its queues.
+type queueWatch struct {
+	*replay.Replayer
+	peak int
+}
+
+func (q *queueWatch) Commit(key vm.SyncKey, kind vm.SyncEventKind, tid int, now int64) int64 {
+	cost := q.Replayer.Commit(key, kind, tid, now)
+	q.peak = max(q.peak, replay.Queued(q.Replayer))
+	return cost
+}
+
+// TestReplayQueuesStayBounded replays pbzip2 under instr. Its input
+// records reach the stream in a few chunks, each flushed only when full,
+// behind thousands of order records: a thread's read must not make the
+// replayer decode those order records into its queues, which hold only
+// what the replayed schedule runs ahead of the recorded order.
+func TestReplayQueuesStayBounded(t *testing.T) {
+	b := bench.ByName("pbzip2")
+	prog, err := core.Load(b.Name, b.FullSource())
+	if err != nil {
+		t.Fatal(err)
+	}
+	config, _ := core.ParseConfig("instr")
+	ip, err := prog.InstrumentAs(config, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc := core.RunConfig{World: b.EvalWorld(bench.DefaultWorkers), Seed: core.DefaultSeed, Table: ip.Table}
+	recRes, log, _ := ip.RecordTo(rc, nil)
+	if recRes.Err != nil {
+		t.Fatalf("record: %v", recRes.Err)
+	}
+	qw := &queueWatch{Replayer: openStream(t, log.Bytes())}
+	repRes := vm.Run(ip.Prog.Code, vm.Config{Inputs: qw, Monitor: qw, WL: ip.Table, Seed: core.DefaultReplaySeed, DisableTimeouts: true})
+	if repRes.Err != nil || qw.Err() != nil || !qw.Drained() || repRes.Hash64() != recRes.Hash64() {
+		t.Fatalf("replay: run %v, replayer %v, drained %v", repRes.Err, qw.Err(), qw.Drained())
+	}
+	const bound = 300
+	t.Logf("peak of %d queued records over %d input and %d order records", qw.peak, log.InputCount(), log.OrderCount())
+	if qw.peak > bound {
+		t.Errorf("%d records queued at once, want at most %d", qw.peak, bound)
 	}
 }

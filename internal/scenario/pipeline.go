@@ -163,7 +163,7 @@ func RunPipeline(spec Spec) *Result {
 
 	// Record, then replay with both checkers on the replay's event stream;
 	// the clean stage below reads their verdicts.
-	chk := ip.RecordAndCheck(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ip.Table}, spec.repSeed(), nil, nil)
+	chk := ip.RecordAndCheck(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ip.Table}, spec.repSeed(), nil)
 	if chk.RecordErr != nil {
 		return res.fail("record", chk.RecordErr)
 	}
@@ -222,7 +222,7 @@ func RunPipeline(spec Spec) *Result {
 	if !pcert.OK {
 		return res.fail("precision", fmt.Errorf("certificate not clean: %s", pcert.Summary()))
 	}
-	pchk := ipp.RecordAndCheck(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ipp.Table}, spec.repSeed(), nil, nil)
+	pchk := ipp.RecordAndCheck(core.RunConfig{World: spec.world(), Seed: spec.recSeed(), Table: ipp.Table}, spec.repSeed(), nil)
 	if pchk.RecordErr != nil {
 		return res.fail("precision", pchk.RecordErr)
 	}

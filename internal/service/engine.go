@@ -325,21 +325,17 @@ func (e *Engine) Traces() []*TraceRecord { return e.traces.list() }
 // matches.
 func (e *Engine) Trace(id string) (*TraceRecord, bool) { return e.traces.find(id) }
 
-// countReader counts bytes read through it (re-reads after a seek
-// count again: the counter is I/O traffic, not file size).
+// countReader counts bytes read through it (bytes read again count again:
+// the counter is I/O traffic, not file size).
 type countReader struct {
-	r io.ReadSeeker
+	r io.ReaderAt
 	n int64
 }
 
-func (c *countReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
+func (c *countReader) ReadAt(p []byte, off int64) (int, error) {
+	n, err := c.r.ReadAt(p, off)
 	c.n += int64(n)
 	return n, err
-}
-
-func (c *countReader) Seek(offset int64, whence int) (int64, error) {
-	return c.r.Seek(offset, whence)
 }
 
 // Draining reports whether the engine has stopped admitting jobs.

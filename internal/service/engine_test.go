@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/oskit"
 	"repro/internal/pool"
+	"repro/internal/replay"
 )
 
 func newTestEngine(t *testing.T) *Engine {
@@ -179,10 +180,29 @@ func TestEngineReplayVerifyOversizedRead(t *testing.T) {
 	if res.Err != nil {
 		t.Fatalf("record: %v", res.Err)
 	}
-	read := &log.Inputs[0][1]
-	read.Data = append(read.Data, 99)
+	// Re-encode the recording with the read record (its second input
+	// record) carrying an extra word.
 	var tampered bytes.Buffer
-	if _, err := log.WriteTo(&tampered); err != nil {
+	lw := replay.NewLogWriter(&tampered)
+	cur := replay.NewLogCursor(bytes.NewReader(log.Bytes()))
+	for inputs := 0; ; {
+		r, err := cur.Next()
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.IsInput {
+			if inputs++; inputs == 2 {
+				r.Input.Data = append(r.Input.Data, 99)
+			}
+			lw.Input(r.Tid, r.Input)
+		} else {
+			lw.Order(r.Key, r.Order)
+		}
+	}
+	if err := lw.Close(); err != nil {
 		t.Fatal(err)
 	}
 

@@ -9,7 +9,6 @@ package service
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/bench"
 	"repro/internal/certify"
@@ -148,7 +147,7 @@ func Observe(t ObserveTarget, o ObserveOptions) (*Observation, error) {
 	sp.SetAttr("ok", ok).End()
 
 	c := ip.RecordAndCheck(core.RunConfig{World: t.EvalWorld(bench.DefaultWorkers), Seed: o.Seed, Table: ip.Table},
-		core.DefaultReplaySeed, io.Discard, tr)
+		core.DefaultReplaySeed, tr)
 	if c.RecordErr != nil {
 		return nil, fmt.Errorf("%s record: %w", t.Name, c.RecordErr)
 	}

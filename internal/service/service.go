@@ -25,7 +25,7 @@
 //     key collisions are impossible while within-tenant resubmissions
 //     reuse every artifact; hit/partial/miss ratios are accounted per
 //     tenant. Record jobs stream CHIMLOG2 to a disk spool as records
-//     commit (the recorder still builds the in-memory Log alongside);
+//     commit (the recording they return is the same compressed bytes);
 //     replay-verify jobs replay straight from the spool through
 //     replay.NewStreamReplayer, so a replay never holds a whole log in
 //     memory.

@@ -87,6 +87,18 @@ func (m *machine) gate(t *thread, key SyncKey, kind SyncEventKind) bool {
 	if m.cfg.Monitor == nil {
 		return true
 	}
+	if t.forcedDue() {
+		// The recording preempted t here, while t was parked in this
+		// operation. The preemption comes first, once its key's order
+		// allows; the operation is then retried, after the lost weak-lock
+		// is reacquired, as it was when recording.
+		if m.cfg.Monitor.TryProceed(t.forcedKey, EvWLForcedRelease, t.id) {
+			m.doInjectForced(t, t.forcedKey, t.forced)
+		} else {
+			m.parkGated(t, t.forcedKey)
+		}
+		return false
+	}
 	if m.cfg.Monitor.TryProceed(key, kind, t.id) {
 		return true
 	}
